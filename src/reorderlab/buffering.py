@@ -14,7 +14,10 @@ ID sequence need not be a permutation of 1..n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, compress, count
+from operator import attrgetter, ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidSequenceError
@@ -111,36 +114,74 @@ class ReceiverState:
         return self.buffer_size
 
 
+def _not_positive(pos: int, v: object) -> InvalidSequenceError:
+    return InvalidSequenceError(
+        f"packet ID at position {pos} must be a positive integer, got {v!r}",
+        position=pos,
+    )
+
+
+def _duplicate(pos: int, v: int) -> InvalidSequenceError:
+    return InvalidSequenceError(f"duplicate packet ID {v} at position {pos}", position=pos)
+
+
+def receiver_pass(ids: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Validate a trace and run the receiver over it in one loop.
+
+    Returns the buffer size and the upload point (the ACK minus one) after
+    each arrival.  IDs are checked as they arrive, with the messages and
+    1-based positions of ``check_ids``.  Only IDs above the upload point are
+    kept, so apart from the two output series the memory used follows the
+    buffer occupancy, not the trace length.
+    """
+    highest = uploadable = 0
+    pending: set[int] = set()  # received IDs above the upload point
+    sizes: list[int] = []
+    uploads: list[int] = []
+    add_size, add_upload = sizes.append, uploads.append
+    for v in ids:
+        # on a bad ID, len(sizes) + 1 is its 1-based position
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+            raise _not_positive(len(sizes) + 1, v)
+        if v <= uploadable:
+            pos = len(sizes) + 1
+            raise _not_positive(pos, v) if v <= 0 else _duplicate(pos, v)
+        if v == uploadable + 1:
+            uploadable = v
+            while uploadable + 1 in pending:
+                uploadable += 1
+                pending.remove(uploadable)
+        elif v in pending:
+            raise _duplicate(len(sizes) + 1, v)
+        else:
+            pending.add(v)
+        if v > highest:
+            highest = v
+        add_size(highest - uploadable)
+        add_upload(uploadable)
+    return sizes, uploads
+
+
 def buffer_sizes(ids: Iterable[int]) -> tuple[int, ...]:
     """Minimal out-of-order buffer size after each arrival of a trace."""
-    state = ReceiverState()
-    return tuple(state.observe(v) for v in ids)
+    return tuple(receiver_pass(ids)[0])
 
 
 def ack_sequence(ids: Iterable[int]) -> tuple[int, ...]:
     """Cumulative acknowledgment after each arrival: first ID not yet received."""
-    state = ReceiverState()
-    out = []
-    for v in ids:
-        state.observe(v)
-        out.append(state.next_ack)
-    return tuple(out)
+    return tuple(u + 1 for u in receiver_pass(ids)[1])
 
 
 def fb_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
     """True when two traces produce identical buffer-size series."""
-    a, b = check_ids(a), check_ids(b)
-    if len(a) != len(b):
-        return False
-    return buffer_sizes(a) == buffer_sizes(b)
+    sizes_a = receiver_pass(a)[0]
+    return sizes_a == receiver_pass(b)[0]
 
 
 def behaviorally_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
     """True when two traces produce identical ACK series."""
-    a, b = check_ids(a), check_ids(b)
-    if len(a) != len(b):
-        return False
-    return ack_sequence(a) == ack_sequence(b)
+    uploads_a = receiver_pass(a)[1]
+    return uploads_a == receiver_pass(b)[1]
 
 
 def ack_from_buffer(values: Sequence[int]) -> tuple[int, ...]:
@@ -181,9 +222,9 @@ class EpisodeSegmentation:
 
     def state_at(self, position: int) -> str:
         """Episode state covering a 1-based position."""
-        for ep in self.episodes:
-            if ep.start <= position <= ep.end:
-                return ep.state
+        i = bisect_left(self.episodes, position, key=attrgetter("end"))
+        if i < len(self.episodes) and self.episodes[i].start <= position:
+            return self.episodes[i].state
         raise IndexError(f"position {position} outside the segmented trace")
 
 
@@ -195,26 +236,28 @@ def segment_episodes(ids: Iterable[int]) -> EpisodeSegmentation:
     arrival that advances the upload point, which includes every in-order
     packet and every packet that flushes a buffered run.
     """
-    ids = check_ids(ids)
-    state = ReceiverState()
-    pivots: list[int] = []
-    states: list[str] = []
-    prev_m = 0
-    prev_l = 0
-    for pos, v in enumerate(ids, start=1):
-        m = state.observe(v)
-        if state.uploadable > prev_l:
-            pivots.append(pos)
-        states.append(ORDERED if m == 0 and prev_m == 0 else UNORDERED)
-        prev_m, prev_l = m, state.uploadable
+    ids = tuple(ids)
+    sizes, uploads = receiver_pass(ids)
+    n = len(sizes)
+    # busy[i] is 1 when the buffer is non-empty after arrival i + 1; a
+    # position is ordered when neither it nor the one before is busy
+    busy = bytes(map(bool, sizes))
     episodes: list[Episode] = []
-    for pos, s in enumerate(states, start=1):
-        if episodes and episodes[-1].state == s:
-            episodes[-1] = episodes[-1]._replace(end=pos)
+    start = 0
+    while start < n:
+        if busy[start] or (start and busy[start - 1]):
+            # unordered until the first pair of empty-buffer positions
+            end = busy.find(b"\0\0", start)
+            end = n if end < 0 else end + 1
+            episodes.append(Episode(UNORDERED, start + 1, end))
         else:
-            episodes.append(Episode(s, pos, pos))
+            end = busy.find(b"\1", start)
+            end = n if end < 0 else end
+            episodes.append(Episode(ORDERED, start + 1, end))
+        start = end
+    advanced = list(map(ne, uploads, chain((0,), uploads)))
     return EpisodeSegmentation(
         episodes=tuple(episodes),
-        pivots=frozenset(pivots),
-        pivot_packets=frozenset(ids[p - 1] for p in pivots),
+        pivots=frozenset(compress(count(1), advanced)),
+        pivot_packets=frozenset(compress(ids, advanced)),
     )

@@ -1,13 +1,16 @@
 """Command-line front end for packet-reordering trace analysis.
 
 Traces are plain text: integers separated by whitespace or newlines, ``#``
-starting a comment, blank lines ignored.  A trace argument is a file path,
-``-`` for standard input, or the integers themselves (``reorderlab map 4 3
-2 1`` and ``reorderlab map "4 3 2 1"`` both work).
+starting a comment, blank lines ignored.  A trace argument is the integers
+themselves (``reorderlab map 4 3 2 1`` and ``reorderlab map "4 3 2 1"`` both
+work), ``-`` for standard input, or a file path.  Arguments made of integers
+are always inline, even when a file of that name exists.
 
 Exit codes: 0 success; 1 negative domain result (no preimage, inconsistent
 metric, failed verification, traces not equivalent, buffer overflow);
-2 malformed input or bad parameters.
+2 malformed input or bad parameters; 141 standard output closed before all
+of it was written (as a shell reports a tool killed by SIGPIPE), with
+nothing printed to standard error.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .reconstruct import reconstruct
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class TraceParseError(ReorderError):
@@ -54,6 +58,11 @@ class TraceParseError(ReorderError):
 
 def parse_trace(text: str, source: str) -> list[int]:
     """Parse trace text into integers, reporting offending line numbers."""
+    if "#" not in text:
+        try:
+            return list(map(int, text.split()))
+        except ValueError:
+            pass  # the line-by-line pass below names the line
     values: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,29 +81,37 @@ def parse_trace(text: str, source: str) -> list[int]:
 def resolve_trace(tokens: Sequence[str]) -> list[int]:
     """Resolve positional trace arguments to a list of integers.
 
-    A single token that names an existing file is read as a file, ``-``
-    reads standard input; anything else must be inline integers.
+    Tokens made of integers are inline values, ``-`` reads standard input,
+    and a single other token that names an existing file is read as a file.
     """
-    if len(tokens) == 1:
-        token = tokens[0]
-        if token == "-":
-            return parse_trace(sys.stdin.read(), "<stdin>")
-        if os.path.exists(token):
-            try:
-                with open(token, encoding="utf-8") as fh:
-                    return parse_trace(fh.read(), token)
-            except OSError as exc:
-                raise TraceParseError(f"cannot read {token}: {exc}") from None
+    if len(tokens) == 1 and tokens[0] == "-":
+        return parse_trace(sys.stdin.read(), "<stdin>")
     values: list[int] = []
     for token in tokens:
         for piece in token.split():
             try:
                 values.append(int(piece))
             except ValueError:
+                if len(tokens) == 1 and os.path.exists(token):
+                    return _read_trace_file(token)
                 raise TraceParseError(
                     f"not a readable trace file and not an integer: {piece!r}"
                 ) from None
     return values
+
+
+def _read_trace_file(path: str) -> list[int]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_trace(fh.read(), path)
+    except OSError as exc:
+        raise TraceParseError(f"cannot read {path}: {exc}") from None
+
+
+def _emit_lines(lines: Sequence[object]) -> None:
+    """Write each item on its own line, in one write."""
+    if lines:
+        sys.stdout.write("\n".join(map(str, lines)) + "\n")
 
 
 def _emit_json(obj: object) -> None:
@@ -115,8 +132,7 @@ def _emit_values(values: tuple[int, ...], fmt: str, extra: dict | None = None) -
     elif fmt == "csv":
         _emit_csv(["position", "value"], list(enumerate(values, start=1)))
     else:
-        for v in values:
-            print(v)
+        _emit_lines(values)
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -137,9 +153,9 @@ def cmd_sus(args: argparse.Namespace) -> int:
         rows = [(i, v) for i, lst in enumerate(part.lists, start=1) for v in lst]
         _emit_csv(["list", "id"], rows)
     else:
-        print(f"sus {part.sus}")
-        for lst in part.lists:
-            print("list", *lst)
+        _emit_lines(
+            [f"sus {part.sus}", *(" ".join(["list", *map(str, lst)]) for lst in part.lists)]
+        )
     return EXIT_OK
 
 
@@ -164,10 +180,13 @@ def cmd_episodes(args: argparse.Namespace) -> int:
         ]
         _emit_csv(["position", "id", "state", "pivot"], rows)
     else:
-        for ep in seg.episodes:
-            print("episode", ep.state, ep.start, ep.end)
-        print("pivots", *sorted(seg.pivots))
-        print("pivot-packets", *sorted(seg.pivot_packets))
+        _emit_lines(
+            [
+                *(f"episode {ep.state} {ep.start} {ep.end}" for ep in seg.episodes),
+                " ".join(["pivots", *map(str, sorted(seg.pivots))]),
+                " ".join(["pivot-packets", *map(str, sorted(seg.pivot_packets))]),
+            ]
+        )
     return EXIT_OK
 
 
@@ -420,7 +439,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        try:
+            return _dispatch(build_parser().parse_args(argv))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except (TraceParseError, InvalidSequenceError, InvalidParameterError) as exc:

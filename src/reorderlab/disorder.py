@@ -8,6 +8,7 @@ check the other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,17 +35,21 @@ def sus_partition(ids: Iterable[int]) -> SusPartition:
     """Scatter elements left to right onto ascending lists, greedily.
 
     Each element extends the first list whose last element is smaller; if no
-    list qualifies it opens a new one.
+    list qualifies it opens a new one.  The last elements decrease from list
+    to list, so that first list is found by binary search on their negations
+    (patience sorting).
     """
     ids = check_ids(ids)
     lists: list[list[int]] = []
+    neg_tails: list[int] = []  # -(last element) of each list, ascending
     for p in ids:
-        for lst in lists:
-            if lst[-1] < p:
-                lst.append(p)
-                break
-        else:
+        i = bisect_right(neg_tails, -p)
+        if i == len(lists):
             lists.append([p])
+            neg_tails.append(-p)
+        else:
+            lists[i].append(p)
+            neg_tails[i] = -p
     return SusPartition(tuple(tuple(lst) for lst in lists))
 
 

@@ -35,6 +35,33 @@ def oracle_ack(ids):
     return tuple(out)
 
 
+def oracle_episodes(ids):
+    """Episodes as (state, start, end) from per-position states of ``oracle_m``."""
+    episodes = []
+    prev = 0
+    for pos, m in enumerate(oracle_m(ids), start=1):
+        state = "O" if m == 0 and prev == 0 else "U"
+        if episodes and episodes[-1][0] == state:
+            episodes[-1] = (state, episodes[-1][1], pos)
+        else:
+            episodes.append((state, pos, pos))
+        prev = m
+    return episodes
+
+
+def oracle_first_fit(ids):
+    """Greedy ascending lists by scanning every list in order for each element."""
+    lists = []
+    for p in ids:
+        for lst in lists:
+            if lst[-1] < p:
+                lst.append(p)
+                break
+        else:
+            lists.append([p])
+    return tuple(tuple(lst) for lst in lists)
+
+
 def oracle_lds_exhaustive(seq):
     """Longest strictly decreasing subsequence by trying all subsequences."""
     n = len(seq)

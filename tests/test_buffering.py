@@ -22,8 +22,9 @@ from reorderlab import (
     fb_equivalent,
     segment_episodes,
 )
+from reorderlab.buffering import receiver_pass
 
-from _oracles import oracle_ack, oracle_m
+from _oracles import oracle_ack, oracle_episodes, oracle_m
 
 TRACE_14 = (1, 2, 3, 6, 5, 7, 4, 8, 9, 10, 12, 13, 14, 11)
 
@@ -34,6 +35,79 @@ permutation_strategy = st.integers(min_value=1, max_value=8).flatmap(
 idseq_strategy = st.lists(
     st.integers(min_value=1, max_value=30), unique=True, max_size=12
 ).map(tuple)
+
+
+class _IntId(int):
+    """An int subclass: accepted as a packet ID like a plain int."""
+
+
+@st.composite
+def rough_traces(draw):
+    """Traces that may break the ID rules: repeats, non-positive IDs, wrong types."""
+    ids = draw(st.lists(st.integers(min_value=-1, max_value=25), max_size=12))
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from([True, False, 2.0, "3", None, _IntId(5)]))
+        ids.insert(draw(st.integers(min_value=0, max_value=len(ids))), odd)
+    return tuple(ids)
+
+
+def _outcome(fn, *args):
+    """A call's result, or the message and position of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except InvalidSequenceError as exc:
+        return "error", str(exc), exc.position
+
+
+def _receiver_state_series(ids):
+    state = ReceiverState()
+    sizes, acks = [], []
+    for v in ids:
+        sizes.append(state.observe(v))
+        acks.append(state.next_ack)
+    return sizes, acks
+
+
+def _kernel_series(ids):
+    sizes, uploads = receiver_pass(ids)
+    return sizes, [u + 1 for u in uploads]
+
+
+class TestReceiverPass:
+    @given(rough_traces())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_receiver_state(self, ids):
+        expected = _outcome(_receiver_state_series, ids)
+        assert _outcome(_kernel_series, ids) == expected
+        if expected[0] == "ok":
+            assert expected[1] == (list(oracle_m(ids)), list(oracle_ack(ids)))
+        else:
+            # same message and position as the separate validation pass
+            assert _outcome(check_ids, ids) == expected
+
+    @given(rough_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_derived_functions_raise_the_first_bad_id(self, ids):
+        expected = _outcome(_receiver_state_series, ids)
+        if expected[0] == "ok":
+            return
+        for fn in (buffer_sizes, ack_sequence, segment_episodes):
+            assert _outcome(fn, ids) == expected
+        for fn in (fb_equivalent, behaviorally_equivalent):
+            # both traces are validated before their lengths are compared
+            assert _outcome(fn, ids, (1, 2)) == expected
+            assert _outcome(fn, (1, 2, 3), ids) == expected
+
+    def test_accepts_any_iterable(self):
+        assert buffer_sizes(iter(TRACE_14)) == buffer_sizes(TRACE_14)
+        assert ack_sequence(iter(TRACE_14)) == ack_sequence(TRACE_14)
+        assert segment_episodes(iter(TRACE_14)) == segment_episodes(TRACE_14)
+        assert fb_equivalent(iter(TRACE_14), iter(TRACE_14))
+
+    def test_long_gapped_trace_matches_receiver_state(self):
+        rng = random.Random(5)
+        ids = rng.sample(range(1, 40_000), 20_000)
+        assert _kernel_series(ids) == _receiver_state_series(ids)
 
 
 class TestBufferSizes:
@@ -207,6 +281,25 @@ class TestEpisodes:
         assert seg.state_at(14) == UNORDERED
         with pytest.raises(IndexError):
             seg.state_at(15)
+
+    @given(idseq_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_position_oracle(self, ids):
+        seg = segment_episodes(ids)
+        assert [tuple(ep) for ep in seg.episodes] == oracle_episodes(ids)
+        assert seg.pivot_packets == frozenset(ids[p - 1] for p in seg.pivots)
+
+    @given(idseq_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_state_at_matches_linear_scan(self, ids):
+        seg = segment_episodes(ids)
+        for pos in range(-1, len(ids) + 3):
+            covering = [ep.state for ep in seg.episodes if ep.start <= pos <= ep.end]
+            if covering:
+                assert seg.state_at(pos) == covering[0]
+            else:
+                with pytest.raises(IndexError, match=f"position {pos} outside"):
+                    seg.state_at(pos)
 
     def test_episodes_partition_positions(self):
         seg = segment_episodes(TRACE_14)

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from reorderlab.cli import (
     EXIT_INPUT,
     EXIT_NEGATIVE,
     EXIT_OK,
+    EXIT_PIPE,
     TraceParseError,
     main,
     parse_trace,
@@ -30,6 +35,15 @@ class TestTraceParsing:
     def test_error_carries_line_number(self):
         with pytest.raises(TraceParseError, match="t:3"):
             parse_trace("1\n2\nx\n", "t")
+
+    def test_error_line_number_without_comments(self):
+        # a text with no "#" takes the whole-text path; errors still name the line
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace("1 2\n3\f4\n\n5 6x 7\n", "t")
+        assert str(exc.value) == "t:5: not an integer: '6x'"  # \f ends a line
+
+    def test_unicode_line_breaks_split_tokens(self):
+        assert parse_trace("1\x1c2\u20283\r\n4\x855", "t") == [1, 2, 3, 4, 5]
 
     def test_inline_tokens(self):
         assert resolve_trace(["4", "3", "2", "1"]) == [4, 3, 2, 1]
@@ -69,6 +83,16 @@ class TestMap:
         code, out, _ = run_cli(capsys, "map", str(path))
         assert code == EXIT_OK
         assert out.split() == "0 0 0 3 3 4 0 0 0 0 2 3 4 0".split()
+
+    def test_inline_integers_beside_same_named_files(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "1").write_text("2 1\n")
+        (tmp_path / "3 4").write_text("2 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "map", "1") == (EXIT_OK, "0\n", "")
+        assert run_cli(capsys, "map", "3 4") == (EXIT_OK, "3\n4\n", "")
+
+    def test_empty_trace_prints_nothing(self, capsys):
+        assert run_cli(capsys, "map", "") == (EXIT_OK, "", "")
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
@@ -261,3 +285,27 @@ class TestConsistency:
         data = json.loads(out)
         assert data["consistent"] is False
         assert data["witness"] == [[4, 2, 3, 1], [4, 3, 2, 1]]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run quietly with EXIT_PIPE."""
+
+    @pytest.mark.parametrize("argv", [["map", "1", "2"], ["ack", "-"], ["episodes", "-"]])
+    def test_no_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader at all: the first write fails
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "reorderlab", *argv],
+                input="\n".join(map(str, range(1, 50_001))).encode(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == EXIT_PIPE

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reorderlab import InvalidSequenceError, lds_bruteforce, sus, sus_partition
 
-from _oracles import interleave_runs, oracle_lds_exhaustive
+from _oracles import interleave_runs, oracle_first_fit, oracle_lds_exhaustive
 
 idseq_strategy = st.lists(
     st.integers(min_value=1, max_value=40), unique=True, max_size=10
@@ -61,6 +61,28 @@ class TestSusPartition:
         part = sus_partition(ids)
         tails = [lst[-1] for lst in part.lists]
         assert all(a > b for a, b in zip(tails, tails[1:]))
+
+
+    @given(idseq_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_first_fit(self, ids):
+        assert sus_partition(ids).lists == oracle_first_fit(ids)
+
+    @pytest.mark.parametrize("n", [1_000, 5_000])
+    def test_matches_linear_first_fit_at_large_n(self, n):
+        rng = random.Random(n)
+        shuffled = rng.sample(range(1, n + 1), n)
+        swapped = list(range(1, n + 1))
+        for i in range(0, n - 1, 7):
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        for ids in (shuffled, swapped, interleave_runs(n, 3, rng), rng.sample(range(1, 3 * n), n)):
+            assert sus_partition(ids).lists == oracle_first_fit(ids)
+
+    def test_count_matches_lds_bruteforce(self):
+        rng = random.Random(3)
+        for n in (50, 200, 600):
+            ids = rng.sample(range(1, 2 * n), n)
+            assert sus(ids) == lds_bruteforce(ids)
 
 
 class TestLds:
