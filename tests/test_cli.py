@@ -1,5 +1,7 @@
 """Command-line behavior: parsing, formats, exit codes."""
 
+import argparse
+import csv
 import io
 import json
 import os
@@ -15,10 +17,12 @@ from reorderlab.cli import (
     EXIT_OK,
     EXIT_PIPE,
     TraceParseError,
+    build_parser,
     main,
     parse_trace,
     resolve_trace,
 )
+from reorderlab.oracle import IdentityViolation
 
 
 def run_cli(capsys, *argv):
@@ -309,3 +313,307 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == EXIT_PIPE
+
+
+class TestExactOutput:
+    """Byte-exact stdout for (command, format) pairs pinned nowhere else."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["ack", "--format", "json", "4 3 2 1"], EXIT_OK, '{"values":[1,1,1,5]}\n'),
+            (
+                ["ack", "--format", "csv", "4 3 2 1"],
+                EXIT_OK,
+                "position,value\n1,1\n2,1\n3,1\n4,5\n",
+            ),
+            (["sus", "--format", "csv", "4 2 3 1"], EXIT_OK, "list,id\n1,4\n2,2\n2,3\n3,1\n"),
+            (
+                ["episodes", "--format", "json", "1 2 3 6 5 7 4 8 9 10 12 13 14 11"],
+                EXIT_OK,
+                '{"episodes":[{"end":3,"start":1,"state":"O"},'
+                '{"end":7,"start":4,"state":"U"},{"end":10,"start":8,"state":"O"},'
+                '{"end":14,"start":11,"state":"U"}],'
+                '"pivot_packets":[1,2,3,4,8,9,10,11],"pivots":[1,2,3,7,8,9,10,14]}\n',
+            ),
+            (
+                ["rd", "--dt", "inf", "--format", "csv", "4 2 3 1"],
+                EXIT_OK,
+                "displacement,count,total\n-3,1,4\n0,2,4\n3,1,4\n",
+            ),
+            (
+                ["rcvwindow", "--rcv-buffer", "4", "--format", "json", "4 3 2 1"],
+                EXIT_OK,
+                '{"rcv_buffer":4,"values":[0,0,0,4]}\n',
+            ),
+            (
+                ["rcvwindow", "--rcv-buffer", "4", "--format", "csv", "4 3 2 1"],
+                EXIT_OK,
+                "position,value\n1,0\n2,0\n3,0\n4,4\n",
+            ),
+            (
+                ["equiv", "--format", "csv", "2 4 1 3", "4 2 1 3"],
+                EXIT_NEGATIVE,
+                "predicate,value\nfb-equivalent,False\nbehaviorally-equivalent,True\n",
+            ),
+            (
+                ["reconstruct", "--format", "csv", "4 4 4 0"],
+                EXIT_OK,
+                "position,id\n1,4\n2,2\n3,3\n4,1\n",
+            ),
+            (["reconstruct", "--format", "csv", "1"], EXIT_NEGATIVE, "position,id\n"),
+            (
+                ["verify", "--n", "5", "--format", "csv"],
+                EXIT_OK,
+                "check,result\ntheorem,pass\nidentities,pass\n",
+            ),
+            (
+                ["verify", "--n", "8", "--format", "csv"],
+                EXIT_OK,
+                "check,result\ntheorem,pass\nidentities,skipped\n",
+            ),
+            (
+                ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4", "--format", "csv"],
+                EXIT_NEGATIVE,
+                "field,value\nconsistent,False\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n",
+            ),
+            (
+                ["consistency", "--metric", "mean-buffer", "--n", "4", "--format", "csv"],
+                EXIT_OK,
+                "field,value\nconsistent,True\n",
+            ),
+        ],
+    )
+    def test_stdout(self, capsys, argv, code, out):
+        assert run_cli(capsys, *argv) == (code, out, "")
+
+
+THEOREM_WITNESS = ((4, 2, 3, 1), (4, 3, 2, 1))
+IDENTITY_WITNESS = IdentityViolation((2, 1, 3), "sus-vs-lds")
+
+
+class TestVerifyWitness:
+    """The witness branches of ``verify``, which no correct engine reaches."""
+
+    @pytest.fixture
+    def witnesses(self, monkeypatch):
+        def install(theorem, identities):
+            monkeypatch.setattr("reorderlab.cli.verify_theorem", lambda n: theorem)
+            monkeypatch.setattr("reorderlab.cli.verify_identities", lambda n: identities)
+
+        return install
+
+    @pytest.mark.parametrize(
+        "theorem, identities, n, text, obj, rows",
+        [
+            (
+                THEOREM_WITNESS,
+                IDENTITY_WITNESS,
+                3,
+                "theorem fail\nwitness-a 4 2 3 1\nwitness-b 4 3 2 1\n"
+                "identities fail\nwitness 2 1 3\ncheck sus-vs-lds\n",
+                '{"identities":"fail","identities_witness":'
+                '{"check":"sus-vs-lds","permutation":[2,1,3]},"n":3,'
+                '"theorem":"fail","theorem_witness":[[4,2,3,1],[4,3,2,1]]}\n',
+                "check,result\ntheorem,fail\nidentities,fail\n",
+            ),
+            (
+                None,
+                IDENTITY_WITNESS,
+                3,
+                "theorem pass\nidentities fail\nwitness 2 1 3\ncheck sus-vs-lds\n",
+                '{"identities":"fail","identities_witness":'
+                '{"check":"sus-vs-lds","permutation":[2,1,3]},"n":3,'
+                '"theorem":"pass","theorem_witness":null}\n',
+                "check,result\ntheorem,pass\nidentities,fail\n",
+            ),
+            (
+                THEOREM_WITNESS,
+                None,
+                8,
+                "theorem fail\nwitness-a 4 2 3 1\nwitness-b 4 3 2 1\nidentities skipped\n",
+                '{"identities":"skipped","identities_witness":null,"n":8,'
+                '"theorem":"fail","theorem_witness":[[4,2,3,1],[4,3,2,1]]}\n',
+                "check,result\ntheorem,fail\nidentities,skipped\n",
+            ),
+        ],
+    )
+    def test_formats(self, capsys, witnesses, theorem, identities, n, text, obj, rows):
+        witnesses(theorem, identities)
+        for fmt, out in (("text", text), ("json", obj), ("csv", rows)):
+            assert run_cli(capsys, "verify", "--n", str(n), "--format", fmt) == (
+                EXIT_NEGATIVE,
+                out,
+                "",
+            )
+
+
+def _csv_rows(out):
+    return list(csv.reader(io.StringIO(out)))[1:]
+
+
+def _values_text(out):
+    return [int(line) for line in out.splitlines()]
+
+
+def _values_csv(out):
+    rows = _csv_rows(out)
+    assert [int(pos) for pos, _ in rows] == list(range(1, len(rows) + 1))
+    return [int(v) for _, v in rows]
+
+
+def _sus_text(out):
+    head, *lists = [line.split() for line in out.splitlines()]
+    assert head[0] == "sus" and all(words[0] == "list" for words in lists)
+    return int(head[1]), [[int(v) for v in words[1:]] for words in lists]
+
+
+def _sus_csv(out):
+    lists: list[list[int]] = []
+    for index, v in _csv_rows(out):
+        if int(index) > len(lists):
+            lists.append([])
+        lists[int(index) - 1].append(int(v))
+    return len(lists), lists
+
+
+def _episode_states(episodes):
+    return [state for state, start, end in episodes for _ in range(start, end + 1)]
+
+
+def _episodes_text(out):
+    words = [line.split() for line in out.splitlines()]
+    episodes = [(w[1], int(w[2]), int(w[3])) for w in words if w[0] == "episode"]
+    tail = {w[0]: [int(v) for v in w[1:]] for w in words if w[0] != "episode"}
+    return _episode_states(episodes), tail["pivots"], tail["pivot-packets"]
+
+
+def _episodes_json(out):
+    obj = json.loads(out)
+    episodes = [(ep["state"], ep["start"], ep["end"]) for ep in obj["episodes"]]
+    return _episode_states(episodes), obj["pivots"], obj["pivot_packets"]
+
+
+def _episodes_csv(out):
+    rows = _csv_rows(out)
+    pivots = [(int(pos), int(i)) for pos, i, _, pivot in rows if pivot == "1"]
+    return (
+        [state for _, _, state, _ in rows],
+        [pos for pos, _ in pivots],
+        sorted(i for _, i in pivots),
+    )
+
+
+def _rd_text(out):
+    pairs = [line.split() for line in out.splitlines()]
+    return [(int(d), *map(int, frac.split("/"))) for d, frac in pairs]
+
+
+def _rd_json(out):
+    obj = json.loads(out)
+    return sorted((int(d), c, obj["total"]) for d, c in obj["counts"].items())
+
+
+def _equiv_text(out):
+    return {k: v == "true" for k, v in (line.split() for line in out.splitlines())}
+
+
+def _equiv_json(out):
+    return {k.replace("_", "-"): v for k, v in json.loads(out).items()}
+
+
+def _equiv_csv(out):
+    return {k: v == "True" for k, v in _csv_rows(out)}
+
+
+def _perm_text(out):
+    return None if out == "NO PERMUTATION EXISTS\n" else [int(v) for v in out.split()]
+
+
+def _perm_csv(out):
+    return [int(v) for _, v in _csv_rows(out)] or None
+
+
+def _verify_text(out):
+    return dict(line.split() for line in out.splitlines())
+
+
+def _verify_json(out):
+    obj = json.loads(out)
+    return {"theorem": obj["theorem"], "identities": obj["identities"]}
+
+
+def _consistency_text(out):
+    head, *witness = [line.split() for line in out.splitlines()]
+    return head == ["consistent"], [[int(v) for v in w[1:]] for w in witness] or None
+
+
+def _consistency_json(out):
+    obj = json.loads(out)
+    return obj["consistent"], obj["witness"]
+
+
+def _consistency_csv(out):
+    rows = _csv_rows(out)
+    witness = [[int(v) for v in value.split()] for _, value in rows[1:]]
+    return rows[0] == ["consistent", "True"], witness or None
+
+
+_VALUES = (_values_text, lambda out: json.loads(out)["values"], _values_csv)
+FORMAT_READERS = {
+    "map": _VALUES,
+    "ack": _VALUES,
+    "rcvwindow": _VALUES,
+    "sus": (
+        _sus_text,
+        lambda out: (json.loads(out)["sus"], json.loads(out)["lists"]),
+        _sus_csv,
+    ),
+    "episodes": (_episodes_text, _episodes_json, _episodes_csv),
+    "rd": (_rd_text, _rd_json, lambda out: [tuple(map(int, r)) for r in _csv_rows(out)]),
+    "equiv": (_equiv_text, _equiv_json, _equiv_csv),
+    "reconstruct": (_perm_text, lambda out: json.loads(out)["permutation"], _perm_csv),
+    "verify": (_verify_text, _verify_json, lambda out: dict(_csv_rows(out))),
+    "consistency": (_consistency_text, _consistency_json, _consistency_csv),
+}
+
+
+class TestFormatsAgree:
+    """text, json and csv of one run carry the same values and exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "1 2 3 6 5 7 4 8 9 10 12 13 14 11"],
+            ["ack", "3 1 2 6 4 5"],
+            ["rcvwindow", "--rcv-buffer", "5", "3 1 2 6 4 5"],
+            ["sus", "6 5 8 7 10 9 12 11 4 3 2"],
+            ["episodes", "2 1 3 4 7 5 6 8"],
+            ["rd", "--dt", "2", "5 1 4 2 3"],
+            ["equiv", "2 4 1 3", "4 2 1 3"],
+            ["equiv", "4 3 2 1", "4 2 3 1"],
+            ["reconstruct", "3 4 3 0"],
+            ["reconstruct", "2 2"],
+            ["verify", "--n", "4"],
+            ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4"],
+            ["consistency", "--metric", "mean-buffer", "--n", "4"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_same_values(self, capsys, argv):
+        readers = FORMAT_READERS[argv[0]]
+        results = set()
+        values = []
+        for fmt, read in zip(("text", "json", "csv"), readers):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert err == ""
+            results.add(code)
+            values.append(read(out))
+        assert len(results) == 1
+        assert values[0] == values[1] == values[2]
+
+    def test_every_subcommand_covered(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(FORMAT_READERS)
