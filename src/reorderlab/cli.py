@@ -6,11 +6,16 @@ themselves (``reorderlab map 4 3 2 1`` and ``reorderlab map "4 3 2 1"`` both
 work), ``-`` for standard input, or a file path.  Arguments made of integers
 are always inline, even when a file of that name exists.
 
+Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
+alone reads ``--format`` and writes results to standard output.  Text is
+lines, json one compact object with sorted keys, csv a header and rows.
+
 Exit codes: 0 success; 1 negative domain result (no preimage, inconsistent
 metric, failed verification, traces not equivalent, buffer overflow);
-2 malformed input or bad parameters; 141 standard output closed before all
-of it was written (as a shell reports a tool killed by SIGPIPE), with
-nothing printed to standard error.
+2 malformed input or bad parameters, including a trace file that cannot be
+read or is not UTF-8 and ``equiv`` given ``-`` for both traces; 141 standard
+output closed before all of it was written (as a shell reports a tool
+killed by SIGPIPE), with nothing printed to standard error.
 """
 
 from __future__ import annotations
@@ -21,22 +26,14 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from dataclasses import asdict
+from functools import partial
+from itertools import chain, starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .buffering import (
-    ack_sequence,
-    behaviorally_equivalent,
-    buffer_sizes,
-    fb_equivalent,
-    segment_episodes,
-)
+from .buffering import ack_sequence, buffer_sizes, receiver_pass, segment_episodes
 from .disorder import sus_partition
-from .errors import (
-    CapacityExceededError,
-    InvalidParameterError,
-    InvalidSequenceError,
-    ReorderError,
-)
+from .errors import CapacityExceededError, InvalidParameterError, ReorderError
 from .metrics import (
     consistency_counterexample,
     mean_buffer_size,
@@ -104,235 +101,196 @@ def _read_trace_file(path: str) -> list[int]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_trace(fh.read(), path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceParseError(f"cannot read {path}: {exc}") from None
 
 
-def _emit_lines(lines: Sequence[object]) -> None:
-    """Write each item on its own line, in one write."""
-    if lines:
-        sys.stdout.write("\n".join(map(str, lines)) + "\n")
+class Report(NamedTuple):
+    """A command's result as text lines, a json object factory and a csv table.
+
+    Only the chosen format's view is used, so each view is built lazily.
+    """
+
+    text: Iterable[object]
+    json: Callable[[], object]
+    header: Sequence[str]
+    rows: Iterable[Sequence[object]]
+    code: int = EXIT_OK
 
 
-def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def _emit_csv(header: list[str], rows: list[tuple]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_values(values: tuple[int, ...], fmt: str, extra: dict | None = None) -> None:
+def render(report: Report, fmt: str) -> None:
+    """Write a report to standard output in the chosen format."""
     if fmt == "json":
-        obj: dict[str, object] = {"values": list(values)}
-        obj.update(extra or {})
-        _emit_json(obj)
+        print(json.dumps(report.json(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
-        _emit_csv(["position", "value"], list(enumerate(values, start=1)))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows(report.rows)
     else:
-        _emit_lines(values)
+        # the trailing "" ends the last line; no lines writes nothing
+        sys.stdout.write("\n".join(chain(map(str, report.text), [""])))
 
 
-def cmd_map(args: argparse.Namespace) -> int:
-    _emit_values(buffer_sizes(resolve_trace(args.trace)), args.format)
-    return EXIT_OK
+def _words(*items: object) -> str:
+    return " ".join(map(str, items))
 
 
-def cmd_ack(args: argparse.Namespace) -> int:
-    _emit_values(ack_sequence(resolve_trace(args.trace)), args.format)
-    return EXIT_OK
+def _witness_lines(witness: tuple[tuple[int, ...], ...] | None) -> Iterator[str]:
+    """The two permutations of a colliding pair, if any, one labelled line each."""
+    for label, perm in zip(("witness-a", "witness-b"), witness or ()):
+        yield _words(label, *perm)
 
 
-def cmd_sus(args: argparse.Namespace) -> int:
+def _series(values: tuple[int, ...]) -> Report:
+    return Report(
+        values, lambda: {"values": values}, ("position", "value"), enumerate(values, start=1)
+    )
+
+
+def cmd_map(args: argparse.Namespace) -> Report:
+    return _series(buffer_sizes(resolve_trace(args.trace)))
+
+
+def cmd_ack(args: argparse.Namespace) -> Report:
+    return _series(ack_sequence(resolve_trace(args.trace)))
+
+
+def cmd_rcvwindow(args: argparse.Namespace) -> Report:
+    series = rcv_window_series(resolve_trace(args.trace), args.rcv_buffer)
+    return _series(series.values)._replace(
+        json=lambda: {"rcv_buffer": series.rcv_buffer, "values": series.values}
+    )
+
+
+def cmd_sus(args: argparse.Namespace) -> Report:
     part = sus_partition(resolve_trace(args.trace))
-    if args.format == "json":
-        _emit_json({"lists": [list(lst) for lst in part.lists], "sus": part.sus})
-    elif args.format == "csv":
-        rows = [(i, v) for i, lst in enumerate(part.lists, start=1) for v in lst]
-        _emit_csv(["list", "id"], rows)
-    else:
-        _emit_lines(
-            [f"sus {part.sus}", *(" ".join(["list", *map(str, lst)]) for lst in part.lists)]
-        )
-    return EXIT_OK
+    return Report(
+        chain([f"sus {part.sus}"], (_words("list", *lst) for lst in part.lists)),
+        lambda: {"lists": part.lists, "sus": part.sus},
+        ("list", "id"),
+        ((i, v) for i, lst in enumerate(part.lists, start=1) for v in lst),
+    )
 
 
-def cmd_episodes(args: argparse.Namespace) -> int:
+def cmd_episodes(args: argparse.Namespace) -> Report:
     ids = resolve_trace(args.trace)
     seg = segment_episodes(ids)
-    if args.format == "json":
-        _emit_json(
-            {
-                "episodes": [
-                    {"state": ep.state, "start": ep.start, "end": ep.end}
-                    for ep in seg.episodes
-                ],
-                "pivots": sorted(seg.pivots),
-                "pivot_packets": sorted(seg.pivot_packets),
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            (pos, ids[pos - 1], seg.state_at(pos), int(pos in seg.pivots))
-            for pos in range(1, len(ids) + 1)
-        ]
-        _emit_csv(["position", "id", "state", "pivot"], rows)
-    else:
-        _emit_lines(
-            [
-                *(f"episode {ep.state} {ep.start} {ep.end}" for ep in seg.episodes),
-                " ".join(["pivots", *map(str, sorted(seg.pivots))]),
-                " ".join(["pivot-packets", *map(str, sorted(seg.pivot_packets))]),
-            ]
-        )
-    return EXIT_OK
+
+    def text() -> Iterator[str]:
+        for ep in seg.episodes:
+            yield f"episode {ep.state} {ep.start} {ep.end}"
+        yield _words("pivots", *sorted(seg.pivots))
+        yield _words("pivot-packets", *sorted(seg.pivot_packets))
+
+    return Report(
+        text(),
+        lambda: {
+            "episodes": [ep._asdict() for ep in seg.episodes],
+            "pivots": sorted(seg.pivots),
+            "pivot_packets": sorted(seg.pivot_packets),
+        },
+        ("position", "id", "state", "pivot"),
+        (
+            (pos, v, seg.state_at(pos), int(pos in seg.pivots))
+            for pos, v in enumerate(ids, start=1)
+        ),
+    )
 
 
-def cmd_rd(args: argparse.Namespace) -> int:
+def cmd_rd(args: argparse.Namespace) -> Report:
     dist = reorder_density(resolve_trace(args.trace), args.dt)
-    if args.format == "json":
-        _emit_json(
-            {
-                "counts": {str(d): c for d, c in sorted(dist.counts.items())},
-                "dt": "inf" if dist.dt == math.inf else dist.dt,
-                "total": dist.total,
-            }
-        )
-    elif args.format == "csv":
-        rows = [(d, c, dist.total) for d, c in sorted(dist.counts.items())]
-        _emit_csv(["displacement", "count", "total"], rows)
-    else:
-        for d, c in sorted(dist.counts.items()):
-            print(d, f"{c}/{dist.total}")
-    return EXIT_OK
+    counts = sorted(dist.counts.items())
+    return Report(
+        (f"{d} {c}/{dist.total}" for d, c in counts),
+        lambda: {
+            "counts": {str(d): c for d, c in counts},
+            "dt": "inf" if dist.dt == math.inf else dist.dt,
+            "total": dist.total,
+        },
+        ("displacement", "count", "total"),
+        ((d, c, dist.total) for d, c in counts),
+    )
 
 
-def cmd_rcvwindow(args: argparse.Namespace) -> int:
-    series = rcv_window_series(resolve_trace(args.trace), args.rcv_buffer)
-    _emit_values(series.values, args.format, extra={"rcv_buffer": series.rcv_buffer})
-    return EXIT_OK
+def cmd_equiv(args: argparse.Namespace) -> Report:
+    if args.trace_a == args.trace_b == "-":
+        raise InvalidParameterError("at most one trace can come from standard input")
+    a, b = resolve_trace([args.trace_a]), resolve_trace([args.trace_b])
+    sizes_a, uploads_a = receiver_pass(a)
+    sizes_b, uploads_b = receiver_pass(b)
+    fb = sizes_a == sizes_b
+    beh = uploads_a == uploads_b
+    rows = (("fb-equivalent", fb), ("behaviorally-equivalent", beh))
+    return Report(
+        (_words(name, str(value).lower()) for name, value in rows),
+        lambda: {"behaviorally_equivalent": beh, "fb_equivalent": fb},
+        ("predicate", "value"),
+        rows,
+        EXIT_OK if fb else EXIT_NEGATIVE,
+    )
 
 
-def cmd_equiv(args: argparse.Namespace) -> int:
-    a = resolve_trace([args.trace_a])
-    b = resolve_trace([args.trace_b])
-    fb = fb_equivalent(a, b)
-    beh = behaviorally_equivalent(a, b)
-    if args.format == "json":
-        _emit_json({"behaviorally_equivalent": beh, "fb_equivalent": fb})
-    elif args.format == "csv":
-        _emit_csv(
-            ["predicate", "value"],
-            [("fb-equivalent", fb), ("behaviorally-equivalent", beh)],
-        )
-    else:
-        print("fb-equivalent", "true" if fb else "false")
-        print("behaviorally-equivalent", "true" if beh else "false")
-    return EXIT_OK if fb else EXIT_NEGATIVE
-
-
-def cmd_reconstruct(args: argparse.Namespace) -> int:
+def cmd_reconstruct(args: argparse.Namespace) -> Report:
     perm = reconstruct(resolve_trace(args.trace))
-    if args.format == "json":
-        _emit_json({"permutation": None if perm is None else list(perm)})
-    elif args.format == "csv":
-        _emit_csv(["position", "id"], list(enumerate(perm or (), start=1)))
-    else:
-        if perm is None:
-            print("NO PERMUTATION EXISTS")
-        else:
-            print(" ".join(str(v) for v in perm))
-    return EXIT_NEGATIVE if perm is None else EXIT_OK
+    return Report(
+        # starmap joins the one line of the permutation only when it is rendered
+        ["NO PERMUTATION EXISTS"] if perm is None else starmap(_words, [perm]),
+        lambda: {"permutation": perm},
+        ("position", "id"),
+        enumerate(perm or (), start=1),
+        EXIT_NEGATIVE if perm is None else EXIT_OK,
+    )
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Report:
     n = args.n
     theorem_witness = verify_theorem(n)
-    identities_witness = None
-    identities_skipped = n > MAX_IDENTITY_N
-    if not identities_skipped:
-        identities_witness = verify_identities(n)
-    ok = theorem_witness is None and identities_witness is None
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": n,
-                "theorem": "pass" if theorem_witness is None else "fail",
-                "theorem_witness": None
-                if theorem_witness is None
-                else [list(theorem_witness[0]), list(theorem_witness[1])],
-                "identities": "skipped"
-                if identities_skipped
-                else ("pass" if identities_witness is None else "fail"),
-                "identities_witness": None
-                if identities_witness is None
-                else {
-                    "permutation": list(identities_witness.permutation),
-                    "check": identities_witness.check,
-                },
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            ("theorem", "pass" if theorem_witness is None else "fail"),
-            (
-                "identities",
-                "skipped"
-                if identities_skipped
-                else ("pass" if identities_witness is None else "fail"),
-            ),
-        ]
-        _emit_csv(["check", "result"], rows)
-    else:
-        print("theorem", "pass" if theorem_witness is None else "fail")
-        if theorem_witness is not None:
-            print("witness-a", *theorem_witness[0])
-            print("witness-b", *theorem_witness[1])
-        if identities_skipped:
-            print("identities skipped")
-        else:
-            print("identities", "pass" if identities_witness is None else "fail")
-            if identities_witness is not None:
-                print("witness", *identities_witness.permutation)
-                print("check", identities_witness.check)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    skipped = n > MAX_IDENTITY_N
+    identities_witness = None if skipped else verify_identities(n)
+    theorem = "pass" if theorem_witness is None else "fail"
+    identities = "skipped" if skipped else "pass" if identities_witness is None else "fail"
+
+    def text() -> Iterator[str]:
+        yield f"theorem {theorem}"
+        yield from _witness_lines(theorem_witness)
+        yield f"identities {identities}"
+        if identities_witness is not None:
+            yield _words("witness", *identities_witness.permutation)
+            yield f"check {identities_witness.check}"
+
+    return Report(
+        text(),
+        lambda: {
+            "n": n,
+            "theorem": theorem,
+            "theorem_witness": theorem_witness,
+            "identities": identities,
+            "identities_witness": identities_witness and asdict(identities_witness),
+        },
+        ("check", "result"),
+        (("theorem", theorem), ("identities", identities)),
+        EXIT_OK if theorem_witness is None and identities_witness is None else EXIT_NEGATIVE,
+    )
 
 
-def cmd_consistency(args: argparse.Namespace) -> int:
+def cmd_consistency(args: argparse.Namespace) -> Report:
     if args.metric == "rd":
         if args.dt is None:
-            print("error: --metric rd requires --dt", file=sys.stderr)
-            return EXIT_INPUT
-        dt = args.dt
-        metric = lambda p: reorder_density(p, dt)  # noqa: E731
+            raise InvalidParameterError("--metric rd requires --dt")
+        metric = partial(reorder_density, dt=args.dt)
     else:
         metric = mean_buffer_size
     witness = consistency_counterexample(metric, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "consistent": witness is None,
-                "witness": None
-                if witness is None
-                else [list(witness[0]), list(witness[1])],
-            }
-        )
-    elif args.format == "csv":
-        rows: list[tuple] = [("consistent", witness is None)]
-        if witness is not None:
-            rows.append(("witness-a", " ".join(map(str, witness[0]))))
-            rows.append(("witness-b", " ".join(map(str, witness[1]))))
-        _emit_csv(["field", "value"], rows)
-    else:
-        if witness is None:
-            print("consistent")
-        else:
-            print("inconsistent")
-            print("witness-a", *witness[0])
-            print("witness-b", *witness[1])
-    return EXIT_OK if witness is None else EXIT_NEGATIVE
+    return Report(
+        chain(["consistent" if witness is None else "inconsistent"], _witness_lines(witness)),
+        lambda: {"consistent": witness is None, "witness": witness},
+        ("field", "value"),
+        chain(
+            [("consistent", witness is None)],
+            (line.split(" ", 1) for line in _witness_lines(witness)),
+        ),
+        EXIT_OK if witness is None else EXIT_NEGATIVE,
+    )
 
 
 def _dt_value(text: str) -> int | float:
@@ -455,13 +413,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     try:
-        return args.func(args)
-    except (TraceParseError, InvalidSequenceError, InvalidParameterError) as exc:
+        report = args.func(args)
+        render(report, args.format)
+        return report.code
+    except ReorderError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapacityExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
 
 
 def run() -> None:

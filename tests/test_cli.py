@@ -105,6 +105,14 @@ class TestMap:
         assert code == EXIT_INPUT
         assert "2" in err and "bogus" in err
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "bad.txt").write_bytes(b"1 2 \xff 3\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "map", "bad.txt")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: cannot read bad.txt: ")
+        assert "in position 4" in err and err.count("\n") == 1
+
     def test_duplicate_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "map", "1 1")
         assert code == EXIT_INPUT
@@ -201,6 +209,14 @@ class TestEquiv:
             "behaviorally_equivalent": False,
             "fb_equivalent": False,
         }
+
+    def test_both_from_stdin_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 1"))
+        assert run_cli(capsys, "equiv", "-", "-") == (
+            EXIT_INPUT,
+            "",
+            "error: at most one trace can come from standard input\n",
+        )
 
     def test_file_inputs(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
@@ -578,42 +594,39 @@ FORMAT_READERS = {
 }
 
 
+FORMAT_CASES = [
+    ["map", "1 2 3 6 5 7 4 8 9 10 12 13 14 11"],
+    ["ack", "3 1 2 6 4 5"],
+    ["rcvwindow", "--rcv-buffer", "5", "3 1 2 6 4 5"],
+    ["sus", "6 5 8 7 10 9 12 11 4 3 2"],
+    ["episodes", "2 1 3 4 7 5 6 8"],
+    ["rd", "--dt", "2", "5 1 4 2 3"],
+    ["equiv", "2 4 1 3", "4 2 1 3"],
+    ["equiv", "4 3 2 1", "4 2 3 1"],
+    ["reconstruct", "3 4 3 0"],
+    ["reconstruct", "2 2"],
+    ["verify", "--n", "4"],
+    ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4"],
+    ["consistency", "--metric", "mean-buffer", "--n", "4"],
+]
+
+
 class TestFormatsAgree:
     """text, json and csv of one run carry the same values and exit code."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["map", "1 2 3 6 5 7 4 8 9 10 12 13 14 11"],
-            ["ack", "3 1 2 6 4 5"],
-            ["rcvwindow", "--rcv-buffer", "5", "3 1 2 6 4 5"],
-            ["sus", "6 5 8 7 10 9 12 11 4 3 2"],
-            ["episodes", "2 1 3 4 7 5 6 8"],
-            ["rd", "--dt", "2", "5 1 4 2 3"],
-            ["equiv", "2 4 1 3", "4 2 1 3"],
-            ["equiv", "4 3 2 1", "4 2 3 1"],
-            ["reconstruct", "3 4 3 0"],
-            ["reconstruct", "2 2"],
-            ["verify", "--n", "4"],
-            ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4"],
-            ["consistency", "--metric", "mean-buffer", "--n", "4"],
-        ],
-        ids=lambda argv: " ".join(argv),
-    )
+    @pytest.mark.parametrize("argv", FORMAT_CASES, ids=" ".join)
     def test_same_values(self, capsys, argv):
-        readers = FORMAT_READERS[argv[0]]
-        results = set()
-        values = []
-        for fmt, read in zip(("text", "json", "csv"), readers):
+        codes, values = set(), []
+        for fmt, read in zip(("text", "json", "csv"), FORMAT_READERS[argv[0]]):
             code, out, err = run_cli(capsys, *argv, "--format", fmt)
             assert err == ""
-            results.add(code)
+            codes.add(code)
             values.append(read(out))
-        assert len(results) == 1
+        assert len(codes) == 1
         assert values[0] == values[1] == values[2]
 
     def test_every_subcommand_covered(self):
         sub = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
-        assert set(sub.choices) == set(FORMAT_READERS)
+        assert {argv[0] for argv in FORMAT_CASES} == set(FORMAT_READERS) == set(sub.choices)
