@@ -106,9 +106,9 @@ def _read_trace_file(path: str) -> list[int]:
 
 
 class Report(NamedTuple):
-    """A command's result as text lines, a json object factory and a csv table.
+    """A command's result: text lines, a json object factory, a csv table, an exit code.
 
-    Only the chosen format's view is used, so each view is built lazily.
+    ``render`` uses only the chosen format's view, so each view is lazy.
     """
 
     text: Iterable[object]
