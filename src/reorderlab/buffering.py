@@ -26,20 +26,26 @@ ORDERED = "O"
 UNORDERED = "U"
 
 
+def _not_positive(pos: int, v: object) -> InvalidSequenceError:
+    return InvalidSequenceError(
+        f"packet ID at position {pos} must be a positive integer, got {v!r}",
+        position=pos,
+    )
+
+
+def _duplicate(pos: int, v: int) -> InvalidSequenceError:
+    return InvalidSequenceError(f"duplicate packet ID {v} at position {pos}", position=pos)
+
+
 def check_ids(ids: Iterable[int]) -> tuple[int, ...]:
     """Validate a packet-ID sequence: positive integers, no repeats."""
     out = tuple(ids)
     seen: set[int] = set()
     for pos, v in enumerate(out, start=1):
         if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-            raise InvalidSequenceError(
-                f"packet ID at position {pos} must be a positive integer, got {v!r}",
-                position=pos,
-            )
+            raise _not_positive(pos, v)
         if v in seen:
-            raise InvalidSequenceError(
-                f"duplicate packet ID {v} at position {pos}", position=pos
-            )
+            raise _duplicate(pos, v)
         seen.add(v)
     return out
 
@@ -112,17 +118,6 @@ class ReceiverState:
         while self.uploadable + 1 in self.received:
             self.uploadable += 1
         return self.buffer_size
-
-
-def _not_positive(pos: int, v: object) -> InvalidSequenceError:
-    return InvalidSequenceError(
-        f"packet ID at position {pos} must be a positive integer, got {v!r}",
-        position=pos,
-    )
-
-
-def _duplicate(pos: int, v: int) -> InvalidSequenceError:
-    return InvalidSequenceError(f"duplicate packet ID {v} at position {pos}", position=pos)
 
 
 def receiver_pass(ids: Iterable[int]) -> tuple[list[int], list[int]]:

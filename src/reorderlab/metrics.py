@@ -18,8 +18,7 @@ from typing import Callable, Iterable
 
 from .buffering import buffer_sizes, check_permutation
 from .errors import CapacityExceededError, InvalidParameterError
-
-MAX_CONSISTENCY_N = 9
+from .oracle import MAX_ENUMERATION_N, _check_n
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,7 @@ def consistency_counterexample(
     reproducible.  Returns None when the metric is consistent at this length.
     Metric values must support exact equality.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_CONSISTENCY_N:
-        raise InvalidParameterError(
-            f"n must be an integer in 1..{MAX_CONSISTENCY_N}, got {n!r}"
-        )
+    _check_n(n, MAX_ENUMERATION_N)
     seen: dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]] = {}
     for perm in permutations(range(1, n + 1)):
         key = buffer_sizes(perm)

@@ -8,9 +8,10 @@ lexicographic and the first witness found is the one reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import add
 
-from .buffering import ack_from_buffer, ack_sequence, buffer_sizes
+from .buffering import ack_from_buffer, buffer_sizes, receiver_pass
 from .disorder import lds_bruteforce, sus
 from .errors import InvalidParameterError
 from .reconstruct import MAX_SUS, reconstruct
@@ -95,25 +96,21 @@ def verify_theorem(n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 def verify_identities(n: int) -> IdentityViolation | None:
     """Exhaustively cross-check the structural identities on S_n.
 
-    Per permutation: the highest ID seen equals ACK plus buffer size minus
-    one at every step; greedy SUS equals brute-force LDS; the ACK series is
-    recoverable from the buffer series alone; and SUS<=3 permutations
-    round-trip through reconstruction.  Returns None, or the first violation.
+    Per permutation, from one receiver pass: the highest ID seen equals the
+    upload point (ACK minus one) plus the buffer size at every step; greedy
+    SUS equals brute-force LDS; the ACK series is recoverable from the
+    buffer series alone; and SUS<=3 permutations round-trip through
+    reconstruction.  Returns None, or the first violation.
     """
     _check_n(n, MAX_IDENTITY_N)
     for perm in permutations(range(1, n + 1)):
-        m = buffer_sizes(perm)
-        acks = ack_sequence(perm)
-        highest = 0
-        for i in range(n):
-            if perm[i] > highest:
-                highest = perm[i]
-            if highest != acks[i] + m[i] - 1:
-                return IdentityViolation(perm, "highest-vs-ack")
+        m, uploads = receiver_pass(perm)
+        if list(accumulate(perm, max)) != list(map(add, uploads, m)):
+            return IdentityViolation(perm, "highest-vs-ack")
         u = sus(perm)
         if u != lds_bruteforce(perm):
             return IdentityViolation(perm, "sus-vs-lds")
-        if ack_from_buffer(m) != acks:
+        if ack_from_buffer(m) != tuple(a + 1 for a in uploads):
             return IdentityViolation(perm, "ack-from-buffer")
         if u <= MAX_SUS and reconstruct(m) != perm:
             return IdentityViolation(perm, "reconstruct-round-trip")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .buffering import buffer_sizes, check_buffer_values
+from .buffering import ack_from_buffer, buffer_sizes, check_buffer_values
 from .disorder import sus
 
 MAX_SUS = 3
@@ -34,13 +34,11 @@ class ReconstructionTrace:
 def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
     """Run the two assignment phases and verify the candidate.
 
-    Phase 1 walks the series once, with an implicit leading 0 and the ACK
-    starting at 1: growth by d pins the arrival to d above the previous
-    highest ID (which equals ACK + previous size - 1); a shrink pins it to
-    the previous ACK and advances the ACK by the shrink amount; a flat zero
-    step is an in-order arrival and advances the ACK by one.  Phase 2 fills
-    every deferred position, left to right, with the smallest positive ID not
-    used anywhere yet.
+    Phase 1 reads the ACK series from ``ack_from_buffer`` and pins every
+    step that moves the buffer to the ACK before it: a shrink is the arrival
+    of that ACK, and growth to size w is the new highest ID, ACK + w - 1.
+    Phase 2 fills every flat step, left to right, with the smallest positive
+    ID not used anywhere yet.
 
     The candidate only stands if it is a permutation of 1..n whose buffer
     series reproduces the input and whose SUS is at most MAX_SUS; otherwise
@@ -48,26 +46,20 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
     """
     w = check_buffer_values(values)
     n = len(w)
+    acks = ack_from_buffer(w)
     packets: list[int | None] = [None] * n
-    acks: list[int] = []
     phase1: list[int] = []
     phase2: list[int] = []
-    ack = 1
-    prev = 0
-    for i, wi in enumerate(w):
+    # the series starts from an implicit 0 with the ACK at 1
+    for pos, prev, wi, ack in zip(range(1, n + 1), (0, *w), w, (1, *acks)):
         if wi < prev:
-            packets[i] = ack
-            ack += prev - wi
-            phase1.append(i + 1)
+            packets[pos - 1] = ack
+            phase1.append(pos)
         elif wi > prev:
-            packets[i] = ack + wi - 1
-            phase1.append(i + 1)
+            packets[pos - 1] = ack + wi - 1
+            phase1.append(pos)
         else:
-            phase2.append(i + 1)
-            if wi == 0:
-                ack += 1
-        acks.append(ack)
-        prev = wi
+            phase2.append(pos)
 
     used = {p for p in packets if p is not None}
     next_free = 1
@@ -85,7 +77,7 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
     return ReconstructionTrace(
         buffer_values=w,
         packets=candidate,
-        acks=tuple(acks),
+        acks=acks,
         phase1_positions=frozenset(phase1),
         phase2_positions=frozenset(phase2),
         permutation=permutation,

@@ -9,6 +9,8 @@ inputs small.
 from itertools import combinations
 from random import Random
 
+from reorderlab import ReconstructionTrace
+
 
 def oracle_m(ids):
     """Buffer sizes via whole-prefix recomputation."""
@@ -81,6 +83,58 @@ def oracle_rd_counts(perm, dt):
         if -dt <= d <= dt:
             counts[d] = counts.get(d, 0) + 1
     return counts, len(perm)
+
+
+def oracle_reconstruct_trace(w):
+    """Reconstruction that keeps its own running ACK instead of ``ack_from_buffer``.
+
+    Phase 1 keeps the ACK alongside the walk: a shrink pins the previous ACK
+    and advances it by the shrink amount, a flat zero step advances it by
+    one.  The candidate is verified with ``oracle_m`` and ``oracle_first_fit``.
+    """
+    w = tuple(w)
+    n = len(w)
+    packets = [None] * n
+    acks = []
+    phase1 = []
+    phase2 = []
+    ack = 1
+    prev = 0
+    for i, wi in enumerate(w):
+        if wi < prev:
+            packets[i] = ack
+            ack += prev - wi
+            phase1.append(i + 1)
+        elif wi > prev:
+            packets[i] = ack + wi - 1
+            phase1.append(i + 1)
+        else:
+            phase2.append(i + 1)
+            if wi == 0:
+                ack += 1
+        acks.append(ack)
+        prev = wi
+    used = {p for p in packets if p is not None}
+    next_free = 1
+    for pos in phase2:
+        while next_free in used:
+            next_free += 1
+        packets[pos - 1] = next_free
+        used.add(next_free)
+    candidate = tuple(packets)
+    feasible = (
+        sorted(candidate) == list(range(1, n + 1))
+        and oracle_m(candidate) == w
+        and len(oracle_first_fit(candidate)) <= 3
+    )
+    return ReconstructionTrace(
+        buffer_values=w,
+        packets=candidate,
+        acks=tuple(acks),
+        phase1_positions=frozenset(phase1),
+        phase2_positions=frozenset(phase2),
+        permutation=candidate if feasible else None,
+    )
 
 
 def interleave_runs(n: int, parts: int, rng: Random) -> tuple[int, ...]:

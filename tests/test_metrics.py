@@ -161,3 +161,8 @@ class TestConsistency:
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             consistency_counterexample(mean_buffer_size, n)
+
+    def test_guard_message(self):
+        with pytest.raises(InvalidParameterError) as exc:
+            consistency_counterexample(mean_buffer_size, 10)
+        assert str(exc.value) == "n must be an integer in 1..9, got 10"

@@ -1,6 +1,6 @@
 """Exhaustive small-length enumeration and verification engine."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,6 +13,9 @@ from reorderlab import (
     verify_identities,
     verify_theorem,
 )
+from reorderlab.buffering import receiver_pass
+
+from _oracles import oracle_m
 
 
 class TestEnumerateClasses:
@@ -77,3 +80,36 @@ class TestVerifyIdentities:
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             verify_identities(n)
+
+
+def _sizes_off_by_one(perm):
+    sizes, uploads = receiver_pass(perm)
+    return [m + 1 for m in sizes], uploads
+
+
+class TestWitnessBranches:
+    """A wrong engine part makes each engine report its witness."""
+
+    @pytest.mark.parametrize(
+        "name, wrong, check",
+        [
+            ("receiver_pass", _sizes_off_by_one, "highest-vs-ack"),
+            ("lds_bruteforce", lambda perm: 0, "sus-vs-lds"),
+            ("ack_from_buffer", lambda values: (), "ack-from-buffer"),
+            ("reconstruct", lambda values: None, "reconstruct-round-trip"),
+        ],
+    )
+    def test_identities(self, monkeypatch, name, wrong, check):
+        monkeypatch.setattr(f"reorderlab.oracle.{name}", wrong)
+        assert verify_identities(4).check == check
+
+    def test_theorem_and_classes(self, monkeypatch):
+        monkeypatch.setattr("reorderlab.oracle.sus", lambda perm: 1)
+        perms = list(permutations(range(1, 5)))
+        # the pair found first ends at the earliest permutation sharing a
+        # buffer series with an earlier one, and starts at the earliest such
+        later, earlier = min(
+            (b, a) for a, b in combinations(perms, 2) if oracle_m(a) == oracle_m(b)
+        )
+        assert verify_theorem(4) == (earlier, later)
+        assert enumerate_classes(4).sus3_collision_count > 0

@@ -1,9 +1,11 @@
 """Rebuilding low-disorder permutations from their buffer-size series."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reorderlab import (
     InvalidSequenceError,
@@ -14,7 +16,7 @@ from reorderlab import (
     sus,
 )
 
-from _oracles import interleave_runs
+from _oracles import interleave_runs, oracle_reconstruct_trace
 
 
 class TestExamples:
@@ -116,3 +118,33 @@ class TestTrace:
         trace = reconstruct_trace((2, 2))
         assert trace.permutation is None
         assert len(trace.packets) == 2
+
+
+class TestMatchesOwnAckLoop:
+    """``reconstruct_trace`` against the loop that kept its own running ACK."""
+
+    def test_every_short_series(self):
+        checked = 0
+        for n in range(6):
+            for w in product(range(6), repeat=n):
+                assert reconstruct_trace(w) == oracle_reconstruct_trace(w)
+                checked += 1
+        assert checked == 9331
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 40), max_size=200),
+            st.integers(0, 200).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+                buffer_sizes
+            ),
+            # SUS<=3 preimages, which reconstruct to a permutation
+            st.builds(
+                lambda n, seed: buffer_sizes(interleave_runs(n, 3, random.Random(seed))),
+                st.integers(0, 200),
+                st.integers(),
+            ),
+        )
+    )
+    def test_long_series(self, w):
+        assert reconstruct_trace(w) == oracle_reconstruct_trace(w)
