@@ -9,6 +9,11 @@ are always inline, even when a file of that name exists.
 Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
 alone reads ``--format`` and writes results to standard output.  Text is
 lines, json one compact object with sorted keys, csv a header and rows.
+Booleans are ``true``/``false`` in every format.  The csv rows of
+``equiv``, ``verify`` and ``consistency`` are their text lines split at the
+first space (``consistency`` adds a leading ``consistent`` row).
+``reconstruct --format csv`` with no preimage prints only the header and
+exits 1.
 
 Exit codes: 0 success; 1 negative domain result (no preimage, inconsistent
 metric, failed verification, traces not equivalent, buffer overflow);
@@ -135,6 +140,15 @@ def _words(*items: object) -> str:
     return " ".join(map(str, items))
 
 
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _pairs(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Key-value csv rows: each text line split at its first space."""
+    return (line.split(" ", 1) for line in lines)
+
+
 def _witness_lines(witness: tuple[tuple[int, ...], ...] | None) -> Iterator[str]:
     """The two permutations of a colliding pair, if any, one labelled line each."""
     for label, perm in zip(("witness-a", "witness-b"), witness or ()):
@@ -220,12 +234,12 @@ def cmd_equiv(args: argparse.Namespace) -> Report:
     sizes_b, uploads_b = receiver_pass(b)
     fb = sizes_a == sizes_b
     beh = uploads_a == uploads_b
-    rows = (("fb-equivalent", fb), ("behaviorally-equivalent", beh))
+    lines = (f"fb-equivalent {_flag(fb)}", f"behaviorally-equivalent {_flag(beh)}")
     return Report(
-        (_words(name, str(value).lower()) for name, value in rows),
+        lines,
         lambda: {"behaviorally_equivalent": beh, "fb_equivalent": fb},
         ("predicate", "value"),
-        rows,
+        _pairs(lines),
         EXIT_OK if fb else EXIT_NEGATIVE,
     )
 
@@ -268,7 +282,7 @@ def cmd_verify(args: argparse.Namespace) -> Report:
             "identities_witness": identities_witness and asdict(identities_witness),
         },
         ("check", "result"),
-        (("theorem", theorem), ("identities", identities)),
+        _pairs(text()),
         EXIT_OK if theorem_witness is None and identities_witness is None else EXIT_NEGATIVE,
     )
 
@@ -285,10 +299,7 @@ def cmd_consistency(args: argparse.Namespace) -> Report:
         chain(["consistent" if witness is None else "inconsistent"], _witness_lines(witness)),
         lambda: {"consistent": witness is None, "witness": witness},
         ("field", "value"),
-        chain(
-            [("consistent", witness is None)],
-            (line.split(" ", 1) for line in _witness_lines(witness)),
-        ),
+        chain([("consistent", _flag(witness is None))], _pairs(_witness_lines(witness))),
         EXIT_OK if witness is None else EXIT_NEGATIVE,
     )
 
