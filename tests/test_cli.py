@@ -370,7 +370,7 @@ class TestExactOutput:
             (
                 ["equiv", "--format", "csv", "2 4 1 3", "4 2 1 3"],
                 EXIT_NEGATIVE,
-                "predicate,value\nfb-equivalent,False\nbehaviorally-equivalent,True\n",
+                "predicate,value\nfb-equivalent,false\nbehaviorally-equivalent,true\n",
             ),
             (
                 ["reconstruct", "--format", "csv", "4 4 4 0"],
@@ -391,12 +391,12 @@ class TestExactOutput:
             (
                 ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4", "--format", "csv"],
                 EXIT_NEGATIVE,
-                "field,value\nconsistent,False\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n",
+                "field,value\nconsistent,false\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n",
             ),
             (
                 ["consistency", "--metric", "mean-buffer", "--n", "4", "--format", "csv"],
                 EXIT_OK,
-                "field,value\nconsistent,True\n",
+                "field,value\nconsistent,true\n",
             ),
         ],
     )
@@ -431,7 +431,8 @@ class TestVerifyWitness:
                 '{"identities":"fail","identities_witness":'
                 '{"check":"sus-vs-lds","permutation":[2,1,3]},"n":3,'
                 '"theorem":"fail","theorem_witness":[[4,2,3,1],[4,3,2,1]]}\n',
-                "check,result\ntheorem,fail\nidentities,fail\n",
+                "check,result\ntheorem,fail\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n"
+                "identities,fail\nwitness,2 1 3\ncheck,sus-vs-lds\n",
             ),
             (
                 None,
@@ -441,7 +442,7 @@ class TestVerifyWitness:
                 '{"identities":"fail","identities_witness":'
                 '{"check":"sus-vs-lds","permutation":[2,1,3]},"n":3,'
                 '"theorem":"pass","theorem_witness":null}\n',
-                "check,result\ntheorem,pass\nidentities,fail\n",
+                "check,result\ntheorem,pass\nidentities,fail\nwitness,2 1 3\ncheck,sus-vs-lds\n",
             ),
             (
                 THEOREM_WITNESS,
@@ -450,7 +451,8 @@ class TestVerifyWitness:
                 "theorem fail\nwitness-a 4 2 3 1\nwitness-b 4 3 2 1\nidentities skipped\n",
                 '{"identities":"skipped","identities_witness":null,"n":8,'
                 '"theorem":"fail","theorem_witness":[[4,2,3,1],[4,3,2,1]]}\n',
-                "check,result\ntheorem,fail\nidentities,skipped\n",
+                "check,result\ntheorem,fail\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n"
+                "identities,skipped\n",
             ),
         ],
     )
@@ -539,7 +541,7 @@ def _equiv_json(out):
 
 
 def _equiv_csv(out):
-    return {k: v == "True" for k, v in _csv_rows(out)}
+    return {k: v == "true" for k, v in _csv_rows(out)}
 
 
 def _perm_text(out):
@@ -572,7 +574,7 @@ def _consistency_json(out):
 def _consistency_csv(out):
     rows = _csv_rows(out)
     witness = [[int(v) for v in value.split()] for _, value in rows[1:]]
-    return rows[0] == ["consistent", "True"], witness or None
+    return rows[0] == ["consistent", "true"], witness or None
 
 
 _VALUES = (_values_text, lambda out: json.loads(out)["values"], _values_csv)
