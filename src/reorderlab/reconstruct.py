@@ -52,14 +52,11 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
     phase2: list[int] = []
     # the series starts from an implicit 0 with the ACK at 1
     for pos, prev, wi, ack in zip(range(1, n + 1), (0, *w), w, (1, *acks)):
-        if wi < prev:
-            packets[pos - 1] = ack
-            phase1.append(pos)
-        elif wi > prev:
-            packets[pos - 1] = ack + wi - 1
-            phase1.append(pos)
-        else:
+        if wi == prev:
             phase2.append(pos)
+        else:
+            packets[pos - 1] = ack if wi < prev else ack + wi - 1
+            phase1.append(pos)
 
     used = {p for p in packets if p is not None}
     next_free = 1
