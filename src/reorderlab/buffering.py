@@ -38,8 +38,14 @@ def _duplicate(pos: int, v: int) -> InvalidSequenceError:
 
 
 def check_ids(ids: Iterable[int]) -> tuple[int, ...]:
-    """Validate a packet-ID sequence: positive integers, no repeats."""
+    """Validate a packet-ID sequence: positive integers, no repeats.
+
+    A C-speed pre-check passes valid input; anything else goes to the loop,
+    which names the first bad ID and its position.
+    """
     out = tuple(ids)
+    if set(map(type, out)) <= {int} and (not out or min(out) > 0) and len(set(out)) == len(out):
+        return out
     seen: set[int] = set()
     for pos, v in enumerate(out, start=1):
         if isinstance(v, bool) or not isinstance(v, int) or v <= 0:

@@ -54,8 +54,19 @@ def sus_partition(ids: Iterable[int]) -> SusPartition:
 
 
 def sus(ids: Iterable[int]) -> int:
-    """SUS of a sequence: minimum number of ascending subsequences covering it."""
-    return sus_partition(ids).sus
+    """SUS of a sequence: minimum number of ascending subsequences covering it.
+
+    Counts the greedy lists from their tails alone, without building them;
+    equals ``sus_partition(ids).sus``.
+    """
+    neg_tails: list[int] = []
+    for p in check_ids(ids):
+        i = bisect_right(neg_tails, -p)
+        if i == len(neg_tails):
+            neg_tails.append(-p)
+        else:
+            neg_tails[i] = -p
+    return len(neg_tails)
 
 
 def lds_bruteforce(ids: Iterable[int]) -> int:

@@ -62,7 +62,7 @@ def enumerate_classes(n: int) -> EquivalenceClassReport:
     collisions = sum(
         1
         for members in frozen.values()
-        if sum(1 for p in members if sus(p) <= MAX_SUS) >= 2
+        if len(members) >= 2 and sum(1 for p in members if sus(p) <= MAX_SUS) >= 2
     )
     return EquivalenceClassReport(
         n=n,

@@ -9,7 +9,23 @@ inputs small.
 from itertools import combinations
 from random import Random
 
-from reorderlab import ReconstructionTrace
+from reorderlab import InvalidSequenceError, ReconstructionTrace
+
+
+def oracle_check_ids(ids):
+    """Packet-ID validation by one loop over every ID: ``check_ids`` without its pre-check."""
+    out = tuple(ids)
+    seen = set()
+    for pos, v in enumerate(out, start=1):
+        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+            raise InvalidSequenceError(
+                f"packet ID at position {pos} must be a positive integer, got {v!r}",
+                position=pos,
+            )
+        if v in seen:
+            raise InvalidSequenceError(f"duplicate packet ID {v} at position {pos}", position=pos)
+        seen.add(v)
+    return out
 
 
 def oracle_m(ids):

@@ -4,7 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reorderlab import (
@@ -20,11 +20,14 @@ from reorderlab import (
     check_ids,
     check_permutation,
     fb_equivalent,
+    lds_bruteforce,
     segment_episodes,
+    sus,
+    sus_partition,
 )
 from reorderlab.buffering import receiver_pass
 
-from _oracles import oracle_ack, oracle_episodes, oracle_m
+from _oracles import oracle_ack, oracle_check_ids, oracle_episodes, oracle_m
 
 TRACE_14 = (1, 2, 3, 6, 5, 7, 4, 8, 9, 10, 12, 13, 14, 11)
 
@@ -108,6 +111,27 @@ class TestReceiverPass:
         rng = random.Random(5)
         ids = rng.sample(range(1, 40_000), 20_000)
         assert _kernel_series(ids) == _receiver_state_series(ids)
+
+
+class TestCheckIds:
+    """The pre-checked ``check_ids`` against the plain validation loop."""
+
+    @given(rough_traces())
+    @example(())
+    @example((10**30,))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle(self, ids):
+        assert _outcome(check_ids, ids) == _outcome(oracle_check_ids, ids)
+
+    @given(rough_traces())
+    @example((10**30, 2, 10**30))
+    @settings(max_examples=200, deadline=None)
+    def test_callers_raise_the_oracle_error(self, ids):
+        expected = _outcome(oracle_check_ids, ids)
+        if expected[0] == "ok":
+            return
+        for fn in (sus, sus_partition, lds_bruteforce, check_permutation):
+            assert _outcome(fn, ids) == expected
 
 
 class TestBufferSizes:

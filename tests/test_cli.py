@@ -455,6 +455,7 @@ class TestVerifyWitness:
                 "identities,skipped\n",
             ),
         ],
+        ids=["both-fail n3", "identities-fail n3", "theorem-fail n8"],
     )
     def test_formats(self, capsys, witnesses, theorem, identities, n, text, obj, rows):
         witnesses(theorem, identities)

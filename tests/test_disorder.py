@@ -76,7 +76,14 @@ class TestSusPartition:
         for i in range(0, n - 1, 7):
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
         for ids in (shuffled, swapped, interleave_runs(n, 3, rng), rng.sample(range(1, 3 * n), n)):
-            assert sus_partition(ids).lists == oracle_first_fit(ids)
+            lists = oracle_first_fit(ids)
+            assert sus_partition(ids).lists == lists
+            assert sus(ids) == len(lists)
+
+    @given(idseq_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_partition_and_lds(self, ids):
+        assert sus(ids) == sus_partition(ids).sus == lds_bruteforce(ids)
 
     def test_count_matches_lds_bruteforce(self):
         rng = random.Random(3)

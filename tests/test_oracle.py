@@ -1,6 +1,7 @@
 """Exhaustive small-length enumeration and verification engine."""
 
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -60,8 +61,25 @@ class TestEnumerateClasses:
             enumerate_classes(n)
 
 
+# OEIS A005802: permutations of length n with no increasing subsequence of
+# length 4, i.e. (reversed) those with SUS <= 3, for n = 1..8
+A005802 = (1, 2, 6, 23, 103, 513, 2761, 15767)
+
+
+class TestCompleteness:
+    """The enumeration visits all of S_n and finds every SUS<=3 permutation."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_counts(self, n):
+        report = enumerate_classes(n)
+        assert sum(map(len, report.classes.values())) == factorial(n)
+        low = [sum(1 for p in members if sus(p) <= 3) for members in report.classes.values()]
+        # every buffer class holds exactly one SUS<=3 member
+        assert low == [1] * A005802[n - 1]
+
+
 class TestVerifyTheorem:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_passes(self, n):
         assert verify_theorem(n) is None
 
