@@ -57,10 +57,15 @@ def check_ids(ids: Iterable[int]) -> tuple[int, ...]:
 
 
 def check_permutation(ids: Iterable[int]) -> tuple[int, ...]:
-    """Validate that ``ids`` is a permutation of 1..n."""
+    """Validate that ``ids`` is a permutation of 1..n.
+
+    Distinct positive IDs form a permutation of 1..n exactly when none
+    exceeds n; the loop runs only to name the first one that does.
+    """
     out = check_ids(ids)
     n = len(out)
-    # distinct positive IDs form a permutation of 1..n exactly when none exceeds n
+    if not out or max(out) <= n:
+        return out
     for pos, v in enumerate(out, start=1):
         if v > n:
             raise InvalidSequenceError(
@@ -71,8 +76,14 @@ def check_permutation(ids: Iterable[int]) -> tuple[int, ...]:
 
 
 def check_buffer_values(values: Iterable[int]) -> tuple[int, ...]:
-    """Validate a buffer-size series: non-negative integers."""
+    """Validate a buffer-size series: non-negative integers.
+
+    As in ``check_ids``, a C-speed pre-check passes valid input and the loop
+    runs only to name the first bad value and its position.
+    """
     out = tuple(values)
+    if set(map(type, out)) <= {int} and (not out or min(out) >= 0):
+        return out
     for pos, v in enumerate(out, start=1):
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise InvalidSequenceError(
@@ -109,14 +120,9 @@ class ReceiverState:
         """Record one arrival and return the resulting buffer size."""
         pos = self.arrivals + 1
         if isinstance(packet_id, bool) or not isinstance(packet_id, int) or packet_id <= 0:
-            raise InvalidSequenceError(
-                f"packet ID at position {pos} must be a positive integer, got {packet_id!r}",
-                position=pos,
-            )
+            raise _not_positive(pos, packet_id)
         if packet_id in self.received:
-            raise InvalidSequenceError(
-                f"duplicate packet ID {packet_id} at position {pos}", position=pos
-            )
+            raise _duplicate(pos, packet_id)
         self.received.add(packet_id)
         self.arrivals = pos
         if packet_id > self.highest_seen:

@@ -34,6 +34,7 @@ import sys
 from dataclasses import asdict
 from functools import partial
 from itertools import chain, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .buffering import ack_sequence, buffer_sizes, receiver_pass, segment_episodes
@@ -213,7 +214,7 @@ def cmd_episodes(args: argparse.Namespace) -> Report:
 
 def cmd_rd(args: argparse.Namespace) -> Report:
     dist = reorder_density(resolve_trace(args.trace), args.dt)
-    counts = sorted(dist.counts.items())
+    counts = sorted(dist.counts.items(), key=itemgetter(0))
     return Report(
         (f"{d} {c}/{dist.total}" for d, c in counts),
         lambda: {

@@ -13,7 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
+from operator import sub
 from typing import Callable, Iterable
 
 from .buffering import buffer_sizes, check_permutation
@@ -61,12 +62,10 @@ def reorder_density(perm: Iterable[int], dt: int | float) -> DisplacementDistrib
     """
     perm = check_permutation(perm)
     _check_dt(dt)
-    counts: Counter[int] = Counter()
-    for i, v in enumerate(perm, start=1):
-        d = v - i
-        if -dt <= d <= dt:
-            counts[d] += 1
-    return DisplacementDistribution(counts=dict(counts), total=len(perm), dt=dt)
+    # counted in first-occurrence order, which the filter keeps
+    every = Counter(map(sub, perm, count(1)))
+    counts = {d: c for d, c in every.items() if -dt <= d <= dt}
+    return DisplacementDistribution(counts=counts, total=len(perm), dt=dt)
 
 
 def rcv_window_series(ids: Iterable[int], rcv_buffer: int) -> RcvWindowSeries:

@@ -28,6 +28,31 @@ def oracle_check_ids(ids):
     return out
 
 
+def oracle_check_permutation(ids):
+    """Permutation validation by one loop over every ID: ``check_permutation`` without its pre-check."""
+    out = oracle_check_ids(ids)
+    n = len(out)
+    for pos, v in enumerate(out, start=1):
+        if v > n:
+            raise InvalidSequenceError(
+                f"not a permutation of 1..{n}: ID {v} at position {pos}",
+                position=pos,
+            )
+    return out
+
+
+def oracle_check_buffer_values(values):
+    """Buffer-series validation by one loop over every value: ``check_buffer_values`` without its pre-check."""
+    out = tuple(values)
+    for pos, v in enumerate(out, start=1):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise InvalidSequenceError(
+                f"buffer size at position {pos} must be a non-negative integer, got {v!r}",
+                position=pos,
+            )
+    return out
+
+
 def oracle_m(ids):
     """Buffer sizes via whole-prefix recomputation."""
     out = []

@@ -21,13 +21,22 @@ from reorderlab import (
     check_permutation,
     fb_equivalent,
     lds_bruteforce,
+    reconstruct,
+    reconstruct_trace,
     segment_episodes,
     sus,
     sus_partition,
 )
-from reorderlab.buffering import receiver_pass
+from reorderlab.buffering import check_buffer_values, receiver_pass
 
-from _oracles import oracle_ack, oracle_check_ids, oracle_episodes, oracle_m
+from _oracles import (
+    oracle_ack,
+    oracle_check_buffer_values,
+    oracle_check_ids,
+    oracle_check_permutation,
+    oracle_episodes,
+    oracle_m,
+)
 
 TRACE_14 = (1, 2, 3, 6, 5, 7, 4, 8, 9, 10, 12, 13, 14, 11)
 
@@ -52,6 +61,16 @@ def rough_traces(draw):
         odd = draw(st.sampled_from([True, False, 2.0, "3", None, _IntId(5)]))
         ids.insert(draw(st.integers(min_value=0, max_value=len(ids))), odd)
     return tuple(ids)
+
+
+@st.composite
+def rough_series(draw):
+    """Buffer series that may break the rules: negatives, wrong types."""
+    values = draw(st.lists(st.integers(min_value=-2, max_value=6), max_size=12))
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from([True, False, 0.0, 2.0, "3", None, _IntId(4), _IntId(-1)]))
+        values.insert(draw(st.integers(min_value=0, max_value=len(values))), odd)
+    return tuple(values)
 
 
 def _outcome(fn, *args):
@@ -132,6 +151,65 @@ class TestCheckIds:
             return
         for fn in (sus, sus_partition, lds_bruteforce, check_permutation):
             assert _outcome(fn, ids) == expected
+
+
+class TestCheckPermutation:
+    """The pre-checked ``check_permutation`` against the plain validation loop."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            (),
+            (1,),
+            (2,),
+            (3, 1, 2),
+            (9, 1, 2, 3),  # above n first
+            (1, 2, 9, 3),  # in the middle
+            (1, 2, 3, 9),  # last
+            (4, 2, 9, 7),  # several above n
+            (1, 3),  # a gap
+            (5, 1, 7, 3),  # gaps
+            (10**30, 1),
+            (2, 1, 2),  # repeats fail in check_ids first
+            (0, 1),
+        ],
+    )
+    def test_matches_loop_oracle(self, ids):
+        assert _outcome(check_permutation, ids) == _outcome(oracle_check_permutation, ids)
+
+    @given(permutation_strategy, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_id_above_n(self, perm, data):
+        pos = data.draw(st.integers(min_value=0, max_value=len(perm) - 1))
+        bad = perm[:pos] + (len(perm) + data.draw(st.integers(1, 5)),) + perm[pos + 1 :]
+        expected = _outcome(oracle_check_permutation, bad)
+        assert expected[0] == "error"
+        assert _outcome(check_permutation, bad) == expected
+        assert _outcome(check_permutation, perm) == ("ok", perm)
+
+    @given(idseq_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_gapped_ids(self, ids):
+        assert _outcome(check_permutation, ids) == _outcome(oracle_check_permutation, ids)
+
+
+class TestCheckBufferValues:
+    """The pre-checked ``check_buffer_values`` against the plain validation loop."""
+
+    @given(rough_series())
+    @example(())
+    @example((True,))
+    @example((0, 3, _IntId(-1)))
+    @example((1, 2.0))
+    @example((10**30, -(10**30)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle(self, values):
+        expected = _outcome(oracle_check_buffer_values, values)
+        assert _outcome(check_buffer_values, values) == expected
+        if expected[0] == "error":
+            # the reconstruct path raises it unchanged
+            assert _outcome(reconstruct, values) == expected
+            assert _outcome(reconstruct_trace, values) == expected
 
 
 class TestBufferSizes:

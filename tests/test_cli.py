@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,8 @@ from reorderlab.cli import (
     resolve_trace,
 )
 from reorderlab.oracle import IdentityViolation
+
+from _oracles import oracle_rd_counts
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +170,31 @@ class TestRd:
         code, out, _ = run_cli(capsys, "rd", "--dt", "1", "--format", "json", "4 3 2 1")
         assert code == EXIT_OK
         assert json.loads(out) == {"counts": {"-1": 1, "1": 1}, "dt": 1, "total": 4}
+
+    @pytest.mark.parametrize("dt", ["1", "3", "inf"])
+    def test_matches_oracle_sorted(self, capsys, dt):
+        rng = random.Random(2000)
+        perm = rng.sample(range(1, 2001), 2000)
+        counts, total = oracle_rd_counts(perm, float(dt) if dt == "inf" else int(dt))
+        ordered = sorted(counts.items())
+        trace = " ".join(map(str, perm))
+        expected = {
+            "text": "".join(f"{d} {c}/{total}\n" for d, c in ordered),
+            "json": json.dumps(
+                {
+                    "counts": {str(d): c for d, c in ordered},
+                    "dt": dt if dt == "inf" else int(dt),
+                    "total": total,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n",
+            "csv": "displacement,count,total\n"
+            + "".join(f"{d},{c},{total}\n" for d, c in ordered),
+        }
+        for fmt, out in expected.items():
+            assert run_cli(capsys, "rd", "--dt", dt, "--format", fmt, trace) == (EXIT_OK, out, "")
 
     def test_dt_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

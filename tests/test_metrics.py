@@ -1,14 +1,18 @@
 """Reorder density, advertised-window series, and the consistency probe."""
 
 import math
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reorderlab import (
     CapacityExceededError,
+    DisplacementDistribution,
     InvalidParameterError,
     InvalidSequenceError,
     buffer_sizes,
@@ -84,6 +88,50 @@ class TestReorderDensity:
                 counts, total = oracle_rd_counts(p, dt)
                 assert dist.counts == counts
                 assert dist.total == total
+
+
+def _mild(n, rng):
+    """1..n with each adjacent pair swapped with probability 0.1."""
+    perm = list(range(1, n + 1))
+    i = 0
+    while i < n - 1:
+        if rng.random() < 0.1:
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            i += 1
+        i += 1
+    return tuple(perm)
+
+
+def _random(n, rng):
+    return tuple(rng.sample(range(1, n + 1), n))
+
+
+class TestMatchesCountingLoop:
+    """``reorder_density`` against the per-ID loop, order of ``counts`` included."""
+
+    @staticmethod
+    def _check(perm, dt):
+        dist = reorder_density(perm, dt)
+        counts, total = oracle_rd_counts(perm, dt)
+        # the dict keeps first-occurrence order, so list equality pins it
+        assert list(dist.counts.items()) == list(counts.items())
+        assert repr(dist) == repr(DisplacementDistribution(counts=counts, total=total, dt=dt))
+
+    @given(
+        st.integers(min_value=0, max_value=300).flatmap(
+            lambda n: st.permutations(range(1, n + 1))
+        ),
+        st.sampled_from([1, 2, 3, "n", math.inf]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_permutations(self, perm, dt):
+        perm = tuple(perm)
+        self._check(perm, max(len(perm), 1) if dt == "n" else dt)
+
+    @pytest.mark.parametrize("shape", [_mild, _random])
+    @pytest.mark.parametrize("dt", [1, 2, 3, 10_000, math.inf])
+    def test_large(self, shape, dt):
+        self._check(shape(10_000, random.Random(6)), dt)
 
 
 class TestRcvWindow:
