@@ -15,9 +15,8 @@ ID sequence need not be a permutation of 1..n.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import chain, compress, count
-from operator import attrgetter, ne
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidSequenceError
@@ -176,7 +175,7 @@ def buffer_sizes(ids: Iterable[int]) -> tuple[int, ...]:
 
 def ack_sequence(ids: Iterable[int]) -> tuple[int, ...]:
     """Cumulative acknowledgment after each arrival: first ID not yet received."""
-    return tuple(u + 1 for u in receiver_pass(ids)[1])
+    return tuple(map(add, receiver_pass(ids)[1], repeat(1)))
 
 
 def fb_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
@@ -219,8 +218,7 @@ class Episode(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class EpisodeSegmentation:
+class EpisodeSegmentation(NamedTuple):
     """Ordered/unordered episodes of a trace plus its pivot arrivals."""
 
     episodes: tuple[Episode, ...]

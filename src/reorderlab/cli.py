@@ -26,12 +26,9 @@ killed by SIGPIPE), with nothing printed to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import partial
 from itertools import chain, starmap
 from operator import itemgetter
@@ -127,8 +124,12 @@ class Report(NamedTuple):
 def render(report: Report, fmt: str) -> None:
     """Write a report to standard output in the chosen format."""
     if fmt == "json":
+        import json
+
         print(json.dumps(report.json(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(report.header)
         writer.writerows(report.rows)
@@ -280,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> Report:
             "theorem": theorem,
             "theorem_witness": theorem_witness,
             "identities": identities,
-            "identities_witness": identities_witness and asdict(identities_witness),
+            "identities_witness": identities_witness and identities_witness._asdict(),
         },
         ("check", "result"),
         _pairs(text()),

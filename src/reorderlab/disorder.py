@@ -9,14 +9,12 @@ check the other.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .buffering import check_ids
 
 
-@dataclass(frozen=True)
-class SusPartition:
+class SusPartition(NamedTuple):
     """Greedy partition of a sequence into strictly ascending lists.
 
     The lists' last elements stay in decreasing order across the partition,

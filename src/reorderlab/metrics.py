@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import count, permutations
+from itertools import count, permutations, repeat
 from operator import sub
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .buffering import buffer_sizes, check_permutation
 from .errors import CapacityExceededError, InvalidParameterError
 from .oracle import MAX_ENUMERATION_N, _check_n
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class DisplacementDistribution:
+
+class DisplacementDistribution(NamedTuple):
     """Exact displacement histogram of a permutation, truncated to [-dt, dt].
 
     Counts stay integral so equality between distributions is exact;
@@ -35,11 +35,12 @@ class DisplacementDistribution:
     dt: int | float
 
     def fractions(self) -> dict[int, Fraction]:
+        from fractions import Fraction
+
         return {d: Fraction(c, self.total) for d, c in sorted(self.counts.items())}
 
 
-@dataclass(frozen=True)
-class RcvWindowSeries:
+class RcvWindowSeries(NamedTuple):
     """Advertised receiver window over time for a fixed buffer capacity."""
 
     rcv_buffer: int
@@ -75,19 +76,23 @@ def rcv_window_series(ids: Iterable[int], rcv_buffer: int) -> RcvWindowSeries:
             f"rcv_buffer must be a positive integer, got {rcv_buffer!r}"
         )
     occupancy = buffer_sizes(ids)
-    for pos, m in enumerate(occupancy, start=1):
-        if m > rcv_buffer:
-            raise CapacityExceededError(
-                f"buffer occupancy {m} exceeds capacity {rcv_buffer} at position {pos}",
-                position=pos,
-            )
+    # C-speed capacity check; the loop runs only to name the first position over it
+    if max(occupancy, default=0) > rcv_buffer:
+        for pos, m in enumerate(occupancy, start=1):
+            if m > rcv_buffer:
+                raise CapacityExceededError(
+                    f"buffer occupancy {m} exceeds capacity {rcv_buffer} at position {pos}",
+                    position=pos,
+                )
     return RcvWindowSeries(
-        rcv_buffer=rcv_buffer, values=tuple(rcv_buffer - m for m in occupancy)
+        rcv_buffer=rcv_buffer, values=tuple(map(sub, repeat(rcv_buffer), occupancy))
     )
 
 
 def mean_buffer_size(ids: Iterable[int]) -> Fraction:
     """Average buffer occupancy, exact; a function of the buffer series only."""
+    from fractions import Fraction
+
     values = buffer_sizes(ids)
     if not values:
         return Fraction(0)

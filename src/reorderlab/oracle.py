@@ -7,9 +7,9 @@ lexicographic and the first witness found is the one reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from operator import add
+from typing import NamedTuple
 
 from .buffering import ack_from_buffer, buffer_sizes, receiver_pass
 from .disorder import lds_bruteforce, sus
@@ -25,8 +25,7 @@ def _check_n(n: int, limit: int) -> None:
         raise InvalidParameterError(f"n must be an integer in 1..{limit}, got {n!r}")
 
 
-@dataclass
-class EquivalenceClassReport:
+class EquivalenceClassReport(NamedTuple):
     """Grouping of all length-n permutations by their buffer series.
 
     ``classes`` maps each buffer series to its members in lexicographic
@@ -43,8 +42,7 @@ class EquivalenceClassReport:
     sus3_collision_count: int
 
 
-@dataclass(frozen=True)
-class IdentityViolation:
+class IdentityViolation(NamedTuple):
     """First permutation on which a cross-check failed, and which check."""
 
     permutation: tuple[int, ...]

@@ -10,8 +10,7 @@ uniquely; this module rebuilds it, or reports that no such preimage exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .buffering import ack_from_buffer, buffer_sizes, check_buffer_values
 from .disorder import sus
@@ -19,8 +18,7 @@ from .disorder import sus
 MAX_SUS = 3
 
 
-@dataclass(frozen=True)
-class ReconstructionTrace:
+class ReconstructionTrace(NamedTuple):
     """Full record of one reconstruction run, successful or not."""
 
     buffer_values: tuple[int, ...]

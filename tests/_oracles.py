@@ -9,7 +9,12 @@ inputs small.
 from itertools import combinations
 from random import Random
 
-from reorderlab import InvalidSequenceError, ReconstructionTrace
+from reorderlab import (
+    CapacityExceededError,
+    InvalidSequenceError,
+    RcvWindowSeries,
+    ReconstructionTrace,
+)
 
 
 def oracle_check_ids(ids):
@@ -124,6 +129,17 @@ def oracle_rd_counts(perm, dt):
         if -dt <= d <= dt:
             counts[d] = counts.get(d, 0) + 1
     return counts, len(perm)
+
+
+def oracle_rcv_window(occupancy, rcv_buffer):
+    """Advertised-window series by one loop that checks capacity at every position."""
+    for pos, m in enumerate(occupancy, start=1):
+        if m > rcv_buffer:
+            raise CapacityExceededError(
+                f"buffer occupancy {m} exceeds capacity {rcv_buffer} at position {pos}",
+                position=pos,
+            )
+    return RcvWindowSeries(rcv_buffer=rcv_buffer, values=tuple(rcv_buffer - m for m in occupancy))
 
 
 def oracle_reconstruct_trace(w):

@@ -359,6 +359,54 @@ class TestClosedStdout:
         assert proc.returncode == EXIT_PIPE
 
 
+# Runs commands one after another in one interpreter and prints, after each,
+# the modules loaded since just before the package was imported.
+IMPORT_PROBE = """
+import io, sys
+before = set(sys.modules)
+from reorderlab.cli import main
+for name, argv in [
+    ("text", ["map", "1"]),
+    ("json", ["map", "--format", "json", "1"]),
+    ("csv", ["map", "--format", "csv", "1"]),
+    ("mean-buffer", ["consistency", "--metric", "mean-buffer", "--n", "3"]),
+]:
+    sys.stdout = io.StringIO()
+    code = main(argv)
+    sys.stdout = sys.__stdout__
+    print(name, code, *sorted(set(sys.modules) - before))
+"""
+
+
+class TestImportHygiene:
+    """A run loads only the standard-library modules its command and format use."""
+
+    HEAVY = {"dataclasses", "inspect", "json", "csv", "fractions", "decimal"}
+
+    def test_modules_added_per_command(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        # -S: no site start-up, so no site hook has loaded any of these already
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.stderr == ""
+        added = {}
+        for line in proc.stdout.splitlines():
+            name, code, *modules = line.split()
+            assert code == "0"
+            added[name] = self.HEAVY.intersection(modules)
+        assert added == {
+            "text": set(),
+            "json": {"json"},
+            "csv": {"json", "csv"},
+            "mean-buffer": {"json", "csv", "fractions", "decimal"},
+        }
+
+
 class TestExactOutput:
     """Byte-exact stdout for (command, format) pairs pinned nowhere else."""
 

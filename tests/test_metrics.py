@@ -23,7 +23,7 @@ from reorderlab import (
     reorder_density,
 )
 
-from _oracles import oracle_rd_counts
+from _oracles import oracle_rcv_window, oracle_rd_counts
 
 
 class TestReorderDensity:
@@ -159,6 +159,38 @@ class TestRcvWindow:
     def test_bad_capacity(self):
         with pytest.raises(InvalidParameterError):
             rcv_window_series((1, 2), 0)
+
+
+class TestRcvWindowMatchesLoop:
+    """``rcv_window_series`` against the loop that checks every position."""
+
+    @staticmethod
+    def _check(ids, rcv_buffer):
+        try:
+            expected = oracle_rcv_window(buffer_sizes(ids), rcv_buffer)
+        except CapacityExceededError as exc:
+            with pytest.raises(CapacityExceededError) as got:
+                rcv_window_series(ids, rcv_buffer)
+            assert str(got.value) == str(exc)
+            assert got.value.position == exc.position
+        else:
+            assert repr(rcv_window_series(ids, rcv_buffer)) == repr(expected)
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=60), unique=True, max_size=40),
+        st.integers(min_value=1, max_value=70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_traces(self, ids, rcv_buffer):
+        self._check(tuple(ids), rcv_buffer)
+
+    @pytest.mark.parametrize("shape", [_mild, _random])
+    def test_large_around_peak(self, shape):
+        ids = shape(10_000, random.Random(8))
+        peak = max(buffer_sizes(ids))
+        for rcv_buffer in (1, peak - 1, peak, peak + 1):
+            if rcv_buffer > 0:
+                self._check(ids, rcv_buffer)
 
 
 class TestMeanBufferSize:
