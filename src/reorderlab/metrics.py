@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .buffering import buffer_sizes, check_permutation
 from .errors import CapacityExceededError, InvalidParameterError
-from .oracle import MAX_ENUMERATION_N, _check_n
+from .oracle import MAX_ENUMERATION_N, _check_n, _series_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -110,9 +110,10 @@ def consistency_counterexample(
     Metric values must support exact equality.
     """
     _check_n(n, MAX_ENUMERATION_N)
+    series = _series_of(n)
     seen: dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]] = {}
     for perm in permutations(range(1, n + 1)):
-        key = buffer_sizes(perm)
+        key = series(perm)
         value = metric(perm)
         for earlier, earlier_value in seen.get(key, ()):
             if earlier_value != value:

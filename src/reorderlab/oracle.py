@@ -8,8 +8,8 @@ lexicographic and the first witness found is the one reported.
 from __future__ import annotations
 
 from itertools import accumulate, permutations
-from operator import add
-from typing import NamedTuple
+from operator import add, or_
+from typing import Callable, NamedTuple
 
 from .buffering import ack_from_buffer, buffer_sizes, receiver_pass
 from .disorder import lds_bruteforce, sus
@@ -23,6 +23,29 @@ MAX_IDENTITY_N = 7
 def _check_n(n: int, limit: int) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= limit:
         raise InvalidParameterError(f"n must be an integer in 1..{limit}, got {n!r}")
+
+
+def _series_of(n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Buffer series of permutations of 1..n, read from a table of received sets.
+
+    The receiver's state after a prefix depends only on the set of IDs in
+    it: the highest ID is the set's largest member, and the upload point is
+    the length of its run 1, 2, 3, ...  So ``table[mask]``, the buffer size
+    once the members of ``mask`` have arrived in any order, is the last value
+    of one kernel pass over them sorted.  A permutation's series is the table
+    read at the running OR of its IDs' bits.
+    """
+    ids = range(1, n + 1)
+    bit = [0] + [1 << (v - 1) for v in ids]
+    table = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        table[mask] = buffer_sizes([v for v in ids if mask & bit[v]])[-1]
+    lookup, flag = table.__getitem__, bit.__getitem__
+
+    def series(perm: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(lookup, accumulate(map(flag, perm), or_)))
+
+    return series
 
 
 class EquivalenceClassReport(NamedTuple):
@@ -52,9 +75,10 @@ class IdentityViolation(NamedTuple):
 def enumerate_classes(n: int) -> EquivalenceClassReport:
     """Group S_n by buffer series, with summary statistics."""
     _check_n(n, MAX_ENUMERATION_N)
+    series = _series_of(n)
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for perm in permutations(range(1, n + 1)):
-        classes.setdefault(buffer_sizes(perm), []).append(perm)
+        classes.setdefault(series(perm), []).append(perm)
     frozen = {key: tuple(members) for key, members in classes.items()}
     sizes = [len(members) for members in frozen.values()]
     collisions = sum(
@@ -80,11 +104,12 @@ def verify_theorem(n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     implementation bug, not a counterexample to the underlying claim).
     """
     _check_n(n, MAX_ENUMERATION_N)
+    series = _series_of(n)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for perm in permutations(range(1, n + 1)):
         if sus(perm) > MAX_SUS:
             continue
-        key = buffer_sizes(perm)
+        key = series(perm)
         if key in seen:
             return seen[key], perm
         seen[key] = perm

@@ -6,7 +6,7 @@ subsequence search instead of dynamic programming.  Slow on purpose; keep
 inputs small.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
 
 from reorderlab import (
@@ -14,6 +14,7 @@ from reorderlab import (
     InvalidSequenceError,
     RcvWindowSeries,
     ReconstructionTrace,
+    buffer_sizes,
 )
 
 
@@ -81,6 +82,34 @@ def oracle_ack(ids):
             upload += 1
         out.append(upload + 1)
     return tuple(out)
+
+
+def oracle_classes(n):
+    """Buffer classes of S_n keyed by one ``buffer_sizes`` pass per permutation.
+
+    ``enumerate_classes(n).classes`` without the received-set table, in the
+    same key order.
+    """
+    classes = {}
+    for perm in permutations(range(1, n + 1)):
+        classes.setdefault(buffer_sizes(perm), []).append(perm)
+    return {key: tuple(members) for key, members in classes.items()}
+
+
+def oracle_consistency_counterexample(metric, n):
+    """First buffer-equivalent pair the metric tells apart, keyed by ``buffer_sizes``.
+
+    ``consistency_counterexample`` without the received-set table.
+    """
+    seen = {}
+    for perm in permutations(range(1, n + 1)):
+        key = buffer_sizes(perm)
+        value = metric(perm)
+        for earlier, earlier_value in seen.get(key, ()):
+            if earlier_value != value:
+                return earlier, perm
+        seen.setdefault(key, []).append((perm, value))
+    return None
 
 
 def oracle_episodes(ids):

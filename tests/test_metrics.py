@@ -23,7 +23,7 @@ from reorderlab import (
     reorder_density,
 )
 
-from _oracles import oracle_rcv_window, oracle_rd_counts
+from _oracles import oracle_consistency_counterexample, oracle_rcv_window, oracle_rd_counts
 
 
 class TestReorderDensity:
@@ -246,3 +246,17 @@ class TestConsistency:
         with pytest.raises(InvalidParameterError) as exc:
             consistency_counterexample(mean_buffer_size, 10)
         assert str(exc.value) == "n must be an integer in 1..9, got 10"
+
+
+class TestConsistencyMatchesKernelLoop:
+    """The table-keyed search returns the witness of the per-permutation kernel loop."""
+
+    @pytest.mark.parametrize(
+        "metric",
+        [mean_buffer_size, *(partial(reorder_density, dt=dt) for dt in (1, 2, 3, math.inf))],
+        ids=["mean-buffer", "rd-1", "rd-2", "rd-3", "rd-inf"],
+    )
+    def test_same_witness(self, metric):
+        for n in range(1, 8):
+            expected = oracle_consistency_counterexample(metric, n)
+            assert consistency_counterexample(metric, n) == expected

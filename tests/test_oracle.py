@@ -2,11 +2,13 @@
 
 from itertools import combinations, permutations
 from math import factorial
+from random import Random
 
 import pytest
 
 from reorderlab import (
     InvalidParameterError,
+    ReceiverState,
     buffer_sizes,
     enumerate_classes,
     reconstruct,
@@ -15,8 +17,39 @@ from reorderlab import (
     verify_theorem,
 )
 from reorderlab.buffering import receiver_pass
+from reorderlab.oracle import _series_of
 
-from _oracles import oracle_m
+from _oracles import oracle_classes, oracle_m
+
+
+class TestSeriesTable:
+    """The table of received sets gives the receiver's series."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_kernel_and_prefix_oracle(self, n):
+        series = _series_of(n)
+        for perm in permutations(range(1, n + 1)):
+            assert series(perm) == buffer_sizes(perm) == oracle_m(perm)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_entry_matches_receiver_state(self, n):
+        # a permutation that starts with a subset's members reads that
+        # subset's entry at the end of its prefix
+        rng = Random(n)
+        series = _series_of(n)
+        for mask in range(1, 1 << n):
+            members = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+            rest = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
+            rng.shuffle(members)
+            state = ReceiverState()
+            for v in members:
+                state.observe(v)
+            assert series(tuple(members + rest))[len(members) - 1] == state.buffer_size
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_classes_match_kernel_loop(self, n):
+        expected = oracle_classes(n)
+        assert list(enumerate_classes(n).classes.items()) == list(expected.items())
 
 
 class TestEnumerateClasses:
@@ -90,7 +123,7 @@ class TestVerifyTheorem:
 
 
 class TestVerifyIdentities:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_passes(self, n):
         assert verify_identities(n) is None
 
@@ -123,11 +156,14 @@ class TestWitnessBranches:
 
     def test_theorem_and_classes(self, monkeypatch):
         monkeypatch.setattr("reorderlab.oracle.sus", lambda perm: 1)
-        perms = list(permutations(range(1, 5)))
-        # the pair found first ends at the earliest permutation sharing a
-        # buffer series with an earlier one, and starts at the earliest such
-        later, earlier = min(
-            (b, a) for a, b in combinations(perms, 2) if oracle_m(a) == oracle_m(b)
-        )
-        assert verify_theorem(4) == (earlier, later)
-        assert enumerate_classes(4).sus3_collision_count > 0
+        for n in (4, 5):
+            series = {p: oracle_m(p) for p in permutations(range(1, n + 1))}
+            # the pair found first ends at the earliest permutation sharing a
+            # buffer series with an earlier one, and starts at the earliest such
+            later, earlier = min(
+                (b, a) for a, b in combinations(series, 2) if series[a] == series[b]
+            )
+            assert verify_theorem(n) == (earlier, later)
+            # with every member at SUS<=3, every multi-member class collides
+            multi = sum(1 for members in oracle_classes(n).values() if len(members) >= 2)
+            assert enumerate_classes(n).sus3_collision_count == multi > 0
