@@ -107,16 +107,18 @@ def consistency_counterexample(
     Permutations are enumerated in lexicographic order and the first
     offending pair is returned (earlier permutation first), so the result is
     reproducible.  Returns None when the metric is consistent at this length.
-    Metric values must support exact equality.
+    Metric values must compare by exact (transitive) equality: the search
+    keeps each buffer class's first member and its value, and compares every
+    later member with that value alone.
     """
     _check_n(n, MAX_ENUMERATION_N)
     series = _series_of(n)
-    seen: dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]] = {}
+    first: dict[tuple[int, ...], tuple[tuple[int, ...], object]] = {}
     for perm in permutations(range(1, n + 1)):
         key = series(perm)
         value = metric(perm)
-        for earlier, earlier_value in seen.get(key, ()):
-            if earlier_value != value:
-                return earlier, perm
-        seen.setdefault(key, []).append((perm, value))
+        earlier, earlier_value = first.setdefault(key, (perm, value))
+        # never compare the first member's value with itself: nan != nan
+        if earlier is not perm and earlier_value != value:
+            return earlier, perm
     return None

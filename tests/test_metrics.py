@@ -3,8 +3,9 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -248,15 +249,58 @@ class TestConsistency:
         assert str(exc.value) == "n must be an integer in 1..9, got 10"
 
 
+@cache
+def _last_of_largest_class(n):
+    classes = {}
+    for perm in permutations(range(1, n + 1)):
+        classes.setdefault(buffer_sizes(perm), []).append(perm)
+    return max(classes.values(), key=len)[-1]
+
+
+def _only_last_of_largest_class(perm):
+    """True on one permutation: the last, in lexicographic order, of the largest class."""
+    return perm == _last_of_largest_class(len(perm))
+
+
+class _Counted:
+    """A metric value that counts its comparisons in the shared one-item list ``tally``."""
+
+    def __init__(self, value, tally):
+        self.value = value
+        self.tally = tally
+
+    def __eq__(self, other):
+        self.tally[0] += 1
+        return self.value == other.value
+
+    def __ne__(self, other):
+        self.tally[0] += 1
+        return self.value != other.value
+
+
 class TestConsistencyMatchesKernelLoop:
     """The table-keyed search returns the witness of the per-permutation kernel loop."""
 
     @pytest.mark.parametrize(
         "metric",
-        [mean_buffer_size, *(partial(reorder_density, dt=dt) for dt in (1, 2, 3, math.inf))],
-        ids=["mean-buffer", "rd-1", "rd-2", "rd-3", "rd-inf"],
+        [
+            mean_buffer_size,
+            *(partial(reorder_density, dt=dt) for dt in (1, 2, 3, math.inf)),
+            lambda p: math.nan,
+            itemgetter(-1),
+            _only_last_of_largest_class,
+        ],
+        ids=["mean-buffer", "rd-1", "rd-2", "rd-3", "rd-inf", "nan", "last-id", "last-of-largest"],
     )
     def test_same_witness(self, metric):
         for n in range(1, 8):
             expected = oracle_consistency_counterexample(metric, n)
             assert consistency_counterexample(metric, n) == expected
+
+    def test_one_comparison_per_permutation_at_most(self):
+        # each permutation meets its class's first member only; meeting every
+        # earlier member of its class would take 16,587 comparisons at n = 7
+        tally = [0]
+        metric = lambda p: _Counted(mean_buffer_size(p), tally)  # noqa: E731
+        assert consistency_counterexample(metric, 7) is None
+        assert 0 < tally[0] <= math.factorial(7)
