@@ -7,8 +7,9 @@ lexicographic and the first witness found is the one reported.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, permutations
-from operator import add, or_
+from operator import add, getitem, or_
 from typing import Callable, NamedTuple
 
 from .buffering import ack_from_buffer, buffer_sizes, receiver_pass
@@ -48,6 +49,30 @@ def _series_of(n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     return series
 
 
+def _sus_of(n: int) -> Callable[[tuple[int, ...]], int]:
+    """SUS of permutations of 1..n, read from a table of patience states.
+
+    The greedy partition's state after a prefix is the set of its list
+    tails: an arrival v replaces the largest tail below v, or opens a new
+    list when no tail is below it.  So there is one node per tail set
+    ``mask``: ``node[0]`` is the number of tails, and ``node[v]`` is the
+    node that v leads to.  A permutation's SUS is the tail count at the
+    node its IDs lead to from the empty set.
+    """
+    nodes = [[mask.bit_count()] for mask in range(1 << n)]
+    for mask, node in enumerate(nodes):
+        for v in range(1, n + 1):
+            bit = 1 << (v - 1)
+            largest_below = 1 << (mask & (bit - 1)).bit_length() >> 1  # 0 if none
+            node.append(nodes[(mask ^ largest_below) | bit])
+    root = nodes[0]
+
+    def count(perm: tuple[int, ...]) -> int:
+        return reduce(getitem, perm, root)[0]
+
+    return count
+
+
 class EquivalenceClassReport(NamedTuple):
     """Grouping of all length-n permutations by their buffer series.
 
@@ -81,10 +106,11 @@ def enumerate_classes(n: int) -> EquivalenceClassReport:
         classes.setdefault(series(perm), []).append(perm)
     frozen = {key: tuple(members) for key, members in classes.items()}
     sizes = [len(members) for members in frozen.values()]
+    count = _sus_of(n)
     collisions = sum(
         1
         for members in frozen.values()
-        if len(members) >= 2 and sum(1 for p in members if sus(p) <= MAX_SUS) >= 2
+        if len(members) >= 2 and sum(1 for p in members if count(p) <= MAX_SUS) >= 2
     )
     return EquivalenceClassReport(
         n=n,
@@ -107,6 +133,7 @@ def verify_theorem(n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     series = _series_of(n)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for perm in permutations(range(1, n + 1)):
+        # sus, not the patience table: perfbench counts these calls against A005802(n)
         if sus(perm) > MAX_SUS:
             continue
         key = series(perm)

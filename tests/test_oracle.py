@@ -1,7 +1,10 @@
 """Exhaustive small-length enumeration and verification engine."""
 
+from functools import reduce
+from inspect import getclosurevars
 from itertools import combinations, permutations
 from math import factorial
+from operator import getitem
 from random import Random
 
 import pytest
@@ -11,13 +14,14 @@ from reorderlab import (
     ReceiverState,
     buffer_sizes,
     enumerate_classes,
+    lds_bruteforce,
     reconstruct,
     sus,
     verify_identities,
     verify_theorem,
 )
 from reorderlab.buffering import receiver_pass
-from reorderlab.oracle import _series_of
+from reorderlab.oracle import _series_of, _sus_of
 
 from _oracles import oracle_classes, oracle_m
 
@@ -50,6 +54,46 @@ class TestSeriesTable:
     def test_classes_match_kernel_loop(self, n):
         expected = oracle_classes(n)
         assert list(enumerate_classes(n).classes.items()) == list(expected.items())
+
+
+def _patience_step(tails, v):
+    """Tail set after v arrives: v replaces the largest tail below it, if any."""
+    below = [t for t in tails if t < v]
+    kept = [t for t in tails if t != below[-1]] if below else list(tails)
+    return tuple(sorted(set(kept + [v])))
+
+
+class TestSusTable:
+    """The table of patience states gives the greedy partition's SUS."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_sus_and_bruteforce(self, n):
+        count = _sus_of(n)
+        for perm in permutations(range(1, n + 1)):
+            assert count(perm) == sus(perm) == lds_bruteforce(perm)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_transition_is_one_patience_step(self, n):
+        root = getclosurevars(_sus_of(n)).nonlocals["root"]
+        # IDs fed in decreasing order each open a list of their own, so they
+        # lead to the node whose tail set is exactly theirs
+        node_of = {
+            tails: reduce(getitem, reversed(tails), root)
+            for k in range(n + 1)
+            for tails in combinations(range(1, n + 1), k)
+        }
+        assert len({id(node) for node in node_of.values()}) == 1 << n
+        for tails, node in node_of.items():
+            assert node[0] == len(tails)
+            assert len(node) == n + 1
+            for v in range(1, n + 1):
+                assert node[v] is node_of[_patience_step(tails, v)]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sus3_count_is_a005802(self, n):
+        count = _sus_of(n)
+        low = sum(1 for perm in permutations(range(1, n + 1)) if count(perm) <= 3)
+        assert low == A005802[n - 1]
 
 
 class TestEnumerateClasses:
@@ -95,8 +139,8 @@ class TestEnumerateClasses:
 
 
 # OEIS A005802: permutations of length n with no increasing subsequence of
-# length 4, i.e. (reversed) those with SUS <= 3, for n = 1..8
-A005802 = (1, 2, 6, 23, 103, 513, 2761, 15767)
+# length 4, i.e. (reversed) those with SUS <= 3, for n = 1..9
+A005802 = (1, 2, 6, 23, 103, 513, 2761, 15767, 94359)
 
 
 class TestCompleteness:
@@ -156,6 +200,7 @@ class TestWitnessBranches:
 
     def test_theorem_and_classes(self, monkeypatch):
         monkeypatch.setattr("reorderlab.oracle.sus", lambda perm: 1)
+        monkeypatch.setattr("reorderlab.oracle._sus_of", lambda n: lambda perm: 1)
         for n in (4, 5):
             series = {p: oracle_m(p) for p in permutations(range(1, n + 1))}
             # the pair found first ends at the earliest permutation sharing a
