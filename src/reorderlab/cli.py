@@ -7,13 +7,13 @@ work), ``-`` for standard input, or a file path.  Arguments made of integers
 are always inline, even when a file of that name exists.
 
 Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
-alone reads ``--format`` and writes results to standard output.  Text is
-lines, json one compact object with sorted keys, csv a header and rows.
-Booleans are ``true``/``false`` in every format.  The csv rows of
-``equiv``, ``verify`` and ``consistency`` are their text lines split at the
-first space (``consistency`` adds a leading ``consistent`` row).
-``reconstruct --format csv`` with no preimage prints only the header and
-exits 1.
+alone reads ``--format`` and writes results to standard output.  Text and
+csv are lines, csv's header first, with the integers of a block of lines
+formatted by one ``%``; json is one compact object with sorted keys.
+Booleans are ``true``/``false`` in every format.  The csv lines of
+``equiv``, ``verify`` and ``consistency`` are their text lines with the
+first space made a comma (``consistency`` adds a leading ``consistent``
+line).  ``reconstruct --format csv`` with no preimage prints the header only.
 
 Exit codes: 0 success; 1 negative domain result (no preimage, inconsistent
 metric, failed verification, traces not equivalent, buffer overflow);
@@ -30,7 +30,7 @@ import math
 import os
 import sys
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -109,57 +109,61 @@ def _read_trace_file(path: str) -> list[int]:
 
 
 class Report(NamedTuple):
-    """A command's result: text lines, a json object factory, a csv table, an exit code.
+    """A command's result: text, json and csv views, and an exit code.
 
-    ``render`` uses only the chosen format's view, so each view is lazy.
+    ``render`` calls only the chosen view.  Text and csv give newline-ended lines.
     """
 
-    text: Iterable[object]
+    text: Callable[[], Iterable[str]]
     json: Callable[[], object]
-    header: Sequence[str]
-    rows: Iterable[Sequence[object]]
+    csv: Callable[[], Iterable[str]]
     code: int = EXIT_OK
 
 
 def render(report: Report, fmt: str) -> None:
-    """Write a report to standard output in the chosen format."""
+    """Write a report's chosen view to standard output: the json object, or the joined lines."""
+    view = getattr(report, fmt)()
     if fmt == "json":
         import json
 
-        print(json.dumps(report.json(), sort_keys=True, separators=(",", ":")))
-    elif fmt == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(report.header)
-        writer.writerows(report.rows)
+        print(json.dumps(view, sort_keys=True, separators=(",", ":")))
     else:
-        # the trailing "" ends the last line; no lines writes nothing
-        sys.stdout.write("\n".join(chain(map(str, report.text), [""])))
+        sys.stdout.write("".join(view))
 
 
-def _words(*items: object) -> str:
-    return " ".join(map(str, items))
+def _block(row: str, *columns: Iterable[object]) -> str:
+    """``row`` once per entry of the sized first column, filled by one ``%``: no str per value."""
+    rows, width = len(columns[0]) if columns else 0, len(columns)
+    values: list[object] = [None] * (rows * width)
+    for i, column in enumerate(columns):
+        values[i::width] = column
+    return (row * rows) % tuple(values)
+
+
+def _words(label: str, values: Sequence[int]) -> str:
+    """A text line: ``label``, then ``values``, space-separated."""
+    return label + _block(" %d", values) + "\n"
 
 
 def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _pairs(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Key-value csv rows: each text line split at its first space."""
-    return (line.split(" ", 1) for line in lines)
+def _pairs(lines: Iterable[str]) -> Iterator[str]:
+    """Key-value csv lines: each text line with its first space made a comma."""
+    return (line.replace(" ", ",", 1) for line in lines)
 
 
-def _witness_lines(witness: tuple[tuple[int, ...], ...] | None) -> Iterator[str]:
+def _witnesses(witness: tuple[tuple[int, ...], ...] | None) -> Iterator[str]:
     """The two permutations of a colliding pair, if any, one labelled line each."""
-    for label, perm in zip(("witness-a", "witness-b"), witness or ()):
-        yield _words(label, *perm)
+    return map(_words, ("witness-a", "witness-b"), witness or ())
 
 
 def _series(values: tuple[int, ...]) -> Report:
     return Report(
-        values, lambda: {"values": values}, ("position", "value"), enumerate(values, start=1)
+        lambda: [_block("%d\n", values)],
+        lambda: {"values": values},
+        lambda: ["position,value\n", _block("%d,%d\n", range(1, len(values) + 1), values)],
     )
 
 
@@ -181,35 +185,34 @@ def cmd_rcvwindow(args: argparse.Namespace) -> Report:
 def cmd_sus(args: argparse.Namespace) -> Report:
     part = sus_partition(resolve_trace(args.trace))
     return Report(
-        chain([f"sus {part.sus}"], (_words("list", *lst) for lst in part.lists)),
+        lambda: chain([f"sus {part.sus}\n"], (_words("list", lst) for lst in part.lists)),
         lambda: {"lists": part.lists, "sus": part.sus},
-        ("list", "id"),
-        ((i, v) for i, lst in enumerate(part.lists, start=1) for v in lst),
+        lambda: chain(
+            ["list,id\n"], (_block(f"{i},%d\n", lst) for i, lst in enumerate(part.lists, start=1))
+        ),
     )
 
 
 def cmd_episodes(args: argparse.Namespace) -> Report:
     ids = resolve_trace(args.trace)
     seg = segment_episodes(ids)
-
-    def text() -> Iterator[str]:
-        for ep in seg.episodes:
-            yield f"episode {ep.state} {ep.start} {ep.end}"
-        yield _words("pivots", *sorted(seg.pivots))
-        yield _words("pivot-packets", *sorted(seg.pivot_packets))
-
+    pos, is_pivot = range(1, len(ids) + 1), seg.pivots.__contains__
     return Report(
-        text(),
+        lambda: [
+            _block("episode %s %d %d\n", *zip(*seg.episodes)),
+            _words("pivots", sorted(seg.pivots)),
+            _words("pivot-packets", sorted(seg.pivot_packets)),
+        ],
         lambda: {
             "episodes": [ep._asdict() for ep in seg.episodes],
             "pivots": sorted(seg.pivots),
             "pivot_packets": sorted(seg.pivot_packets),
         },
-        ("position", "id", "state", "pivot"),
-        (
-            (pos, v, seg.state_at(pos), int(pos in seg.pivots))
-            for pos, v in enumerate(ids, start=1)
-        ),
+        # one state_at call per position; %d prints the pivot flags (bools) as 1/0
+        lambda: [
+            "position,id,state,pivot\n",
+            _block("%d,%d,%s,%d\n", pos, ids, map(seg.state_at, pos), map(is_pivot, pos)),
+        ],
     )
 
 
@@ -217,14 +220,13 @@ def cmd_rd(args: argparse.Namespace) -> Report:
     dist = reorder_density(resolve_trace(args.trace), args.dt)
     counts = sorted(dist.counts.items(), key=itemgetter(0))
     return Report(
-        (f"{d} {c}/{dist.total}" for d, c in counts),
+        lambda: [_block(f"%d %d/{dist.total}\n", *zip(*counts))],
         lambda: {
             "counts": {str(d): c for d, c in counts},
             "dt": "inf" if dist.dt == math.inf else dist.dt,
             "total": dist.total,
         },
-        ("displacement", "count", "total"),
-        ((d, c, dist.total) for d, c in counts),
+        lambda: ["displacement,count,total\n", _block(f"%d,%d,{dist.total}\n", *zip(*counts))],
     )
 
 
@@ -236,12 +238,11 @@ def cmd_equiv(args: argparse.Namespace) -> Report:
     sizes_b, uploads_b = receiver_pass(b)
     fb = sizes_a == sizes_b
     beh = uploads_a == uploads_b
-    lines = (f"fb-equivalent {_flag(fb)}", f"behaviorally-equivalent {_flag(beh)}")
+    lines = (f"fb-equivalent {_flag(fb)}\n", f"behaviorally-equivalent {_flag(beh)}\n")
     return Report(
-        lines,
+        lambda: lines,
         lambda: {"behaviorally_equivalent": beh, "fb_equivalent": fb},
-        ("predicate", "value"),
-        _pairs(lines),
+        lambda: chain(["predicate,value\n"], _pairs(lines)),
         EXIT_OK if fb else EXIT_NEGATIVE,
     )
 
@@ -249,11 +250,10 @@ def cmd_equiv(args: argparse.Namespace) -> Report:
 def cmd_reconstruct(args: argparse.Namespace) -> Report:
     perm = reconstruct(resolve_trace(args.trace))
     return Report(
-        # starmap joins the one line of the permutation only when it is rendered
-        ["NO PERMUTATION EXISTS"] if perm is None else starmap(_words, [perm]),
+        # the permutation's line drops the space before its first value
+        lambda: ["NO PERMUTATION EXISTS\n" if perm is None else _block(" %d", perm)[1:] + "\n"],
         lambda: {"permutation": perm},
-        ("position", "id"),
-        enumerate(perm or (), start=1),
+        lambda: ["position,id\n", _block("%d,%d\n", range(1, len(perm or ()) + 1), perm or ())],
         EXIT_NEGATIVE if perm is None else EXIT_OK,
     )
 
@@ -267,15 +267,15 @@ def cmd_verify(args: argparse.Namespace) -> Report:
     identities = "skipped" if skipped else "pass" if identities_witness is None else "fail"
 
     def text() -> Iterator[str]:
-        yield f"theorem {theorem}"
-        yield from _witness_lines(theorem_witness)
-        yield f"identities {identities}"
+        yield f"theorem {theorem}\n"
+        yield from _witnesses(theorem_witness)
+        yield f"identities {identities}\n"
         if identities_witness is not None:
-            yield _words("witness", *identities_witness.permutation)
-            yield f"check {identities_witness.check}"
+            yield _words("witness", identities_witness.permutation)
+            yield f"check {identities_witness.check}\n"
 
     return Report(
-        text(),
+        text,
         lambda: {
             "n": n,
             "theorem": theorem,
@@ -283,8 +283,7 @@ def cmd_verify(args: argparse.Namespace) -> Report:
             "identities": identities,
             "identities_witness": identities_witness and identities_witness._asdict(),
         },
-        ("check", "result"),
-        _pairs(text()),
+        lambda: chain(["check,result\n"], _pairs(text())),
         EXIT_OK if theorem_witness is None and identities_witness is None else EXIT_NEGATIVE,
     )
 
@@ -297,19 +296,20 @@ def cmd_consistency(args: argparse.Namespace) -> Report:
     else:
         metric = mean_buffer_size
     witness = consistency_counterexample(metric, args.n)
+    ok = witness is None
     return Report(
-        chain(["consistent" if witness is None else "inconsistent"], _witness_lines(witness)),
-        lambda: {"consistent": witness is None, "witness": witness},
-        ("field", "value"),
-        chain([("consistent", _flag(witness is None))], _pairs(_witness_lines(witness))),
-        EXIT_OK if witness is None else EXIT_NEGATIVE,
+        lambda: chain(["consistent\n" if ok else "inconsistent\n"], _witnesses(witness)),
+        lambda: {"consistent": ok, "witness": witness},
+        lambda: chain(["field,value\n", f"consistent,{_flag(ok)}\n"], _pairs(_witnesses(witness))),
+        EXIT_OK if ok else EXIT_NEGATIVE,
     )
 
 
 def _dt_value(text: str) -> int | float:
-    if text == "inf":
-        return math.inf
-    return int(text)
+    try:
+        return math.inf if text == "inf" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

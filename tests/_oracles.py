@@ -6,7 +6,9 @@ subsequence search instead of dynamic programming.  Slow on purpose; keep
 inputs small.
 """
 
-from itertools import combinations, permutations
+import csv
+import io
+from itertools import chain, combinations, permutations
 from random import Random
 
 from reorderlab import (
@@ -16,6 +18,7 @@ from reorderlab import (
     ReconstructionTrace,
     buffer_sizes,
 )
+from reorderlab.oracle import MAX_IDENTITY_N
 
 
 def oracle_check_ids(ids):
@@ -241,3 +244,101 @@ def interleave_runs(n: int, parts: int, rng: Random) -> tuple[int, ...]:
         if not runs[i]:
             runs.pop(i)
     return tuple(out)
+
+
+# The CLI's text and csv output as written before integer blocks were
+# formatted by one ``%``: text joins ``str`` of every value and item, csv is
+# ``csv.writer`` over a header and rows.  Each ``oracle_*_views`` takes one
+# command's library result and returns (text lines, csv header, csv rows,
+# exit code); ``oracle_render`` writes one format of them.
+
+
+def _old_words(*items):
+    return " ".join(map(str, items))
+
+
+def _old_flag(value):
+    return "true" if value else "false"
+
+
+def _old_pairs(lines):
+    return [line.split(" ", 1) for line in lines]
+
+
+def _old_witness_lines(witness):
+    labels = ("witness-a", "witness-b")
+    return [_old_words(label, *perm) for label, perm in zip(labels, witness or ())]
+
+
+def oracle_series_views(values):
+    """``map``, ``ack`` and ``rcvwindow``."""
+    return list(values), ("position", "value"), list(enumerate(values, start=1)), 0
+
+
+def oracle_sus_views(part):
+    text = [f"sus {part.sus}"] + [_old_words("list", *lst) for lst in part.lists]
+    rows = [(i, v) for i, lst in enumerate(part.lists, start=1) for v in lst]
+    return text, ("list", "id"), rows, 0
+
+
+def oracle_episodes_views(ids, seg):
+    text = [f"episode {ep.state} {ep.start} {ep.end}" for ep in seg.episodes]
+    text.append(_old_words("pivots", *sorted(seg.pivots)))
+    text.append(_old_words("pivot-packets", *sorted(seg.pivot_packets)))
+    rows = [
+        (pos, v, seg.state_at(pos), int(pos in seg.pivots)) for pos, v in enumerate(ids, start=1)
+    ]
+    return text, ("position", "id", "state", "pivot"), rows, 0
+
+
+def oracle_rd_views(dist):
+    counts = sorted(dist.counts.items())
+    text = [f"{d} {c}/{dist.total}" for d, c in counts]
+    rows = [(d, c, dist.total) for d, c in counts]
+    return text, ("displacement", "count", "total"), rows, 0
+
+
+def oracle_equiv_views(fb, beh):
+    lines = [f"fb-equivalent {_old_flag(fb)}", f"behaviorally-equivalent {_old_flag(beh)}"]
+    return lines, ("predicate", "value"), _old_pairs(lines), 0 if fb else 1
+
+
+def oracle_reconstruct_views(perm):
+    text = ["NO PERMUTATION EXISTS"] if perm is None else [_old_words(*perm)]
+    rows = list(enumerate(perm or (), start=1))
+    return text, ("position", "id"), rows, 1 if perm is None else 0
+
+
+def oracle_verify_views(n, theorem_witness, identities_witness):
+    """``verify --n n`` given what the two engines returned (no identities above the cap)."""
+    skipped = n > MAX_IDENTITY_N
+    if skipped:
+        identities_witness = None
+    text = ["theorem " + ("pass" if theorem_witness is None else "fail")]
+    text += _old_witness_lines(theorem_witness)
+    identities = "skipped" if skipped else "pass" if identities_witness is None else "fail"
+    text.append(f"identities {identities}")
+    if identities_witness is not None:
+        text.append(_old_words("witness", *identities_witness.permutation))
+        text.append(f"check {identities_witness.check}")
+    ok = theorem_witness is None and identities_witness is None
+    return text, ("check", "result"), _old_pairs(text), 0 if ok else 1
+
+
+def oracle_consistency_views(witness):
+    lines = _old_witness_lines(witness)
+    text = ["consistent" if witness is None else "inconsistent"] + lines
+    rows = [("consistent", _old_flag(witness is None))] + _old_pairs(lines)
+    return text, ("field", "value"), rows, 0 if witness is None else 1
+
+
+def oracle_render(views, fmt):
+    """(exit code, stdout) of one format, ``text`` or ``csv``, of a command's views."""
+    text, header, rows, code = views
+    if fmt == "text":
+        return code, "\n".join(chain(map(str, text), [""]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return code, out.getvalue()

@@ -206,6 +206,17 @@ class TestRd:
         assert code == EXIT_INPUT
         assert "dt" in err
 
+    @pytest.mark.parametrize("command", [["rd", "1 2"], ["consistency", "--metric", "rd", "--n", "3"]])
+    def test_non_integer_dt_message(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--dt", "1e3", *command[1:]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --dt: must be a positive integer or 'inf', got '1e3'\n"
+        )
+
 
 class TestRcvWindow:
     def test_text(self, capsys):
@@ -402,8 +413,8 @@ class TestImportHygiene:
         assert added == {
             "text": set(),
             "json": {"json"},
-            "csv": {"json", "csv"},
-            "mean-buffer": {"json", "csv", "fractions", "decimal"},
+            "csv": {"json"},
+            "mean-buffer": {"json", "fractions", "decimal"},
         }
 
 
