@@ -88,19 +88,25 @@ def check_buffer_values(values: Iterable[int]) -> tuple[int, ...]:
 
 
 class ReceiverState:
-    """Incremental receiver bookkeeping over a stream of packet IDs.
+    """The receiver over a stream of packet IDs, fed in any number of calls.
 
     ``highest_seen`` is the largest ID observed so far and ``uploadable`` the
     largest ID below which the stream is complete; both start at 0.  The
     buffer size after an arrival is their difference, and ``next_ack`` is the
-    cumulative acknowledgment the receiver would emit.
+    cumulative acknowledgment the receiver would emit.  Only the received IDs
+    above the upload point are kept, in ``pending``.
     """
 
+    __slots__ = ("highest_seen", "uploadable", "pending", "arrivals")
+
     def __init__(self) -> None:
-        self.highest_seen = 0
-        self.uploadable = 0
-        self.received: set[int] = set()
-        self.arrivals = 0
+        self.highest_seen = self.uploadable = self.arrivals = 0
+        self.pending: set[int] = set()
+
+    @property
+    def received(self) -> set[int]:
+        """Every ID received so far."""
+        return set(range(1, self.uploadable + 1)) | self.pending
 
     @property
     def buffer_size(self) -> int:
@@ -112,55 +118,49 @@ class ReceiverState:
 
     def observe(self, packet_id: int) -> int:
         """Record one arrival and return the resulting buffer size."""
-        pos = self.arrivals + 1
-        if isinstance(packet_id, bool) or not isinstance(packet_id, int) or packet_id <= 0:
-            raise _not_positive(pos, packet_id)
-        if packet_id in self.received:
-            raise _duplicate(pos, packet_id)
-        self.received.add(packet_id)
-        self.arrivals = pos
-        if packet_id > self.highest_seen:
-            self.highest_seen = packet_id
-        while self.uploadable + 1 in self.received:
-            self.uploadable += 1
-        return self.buffer_size
+        return self.feed((packet_id,))[0][0]
+
+    def feed(self, ids: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Record arrivals; return the buffer size and upload point after each.
+
+        The upload point is the ACK minus one.  IDs are checked as they
+        arrive, with ``check_ids``' messages and 1-based positions counted
+        across calls; on a bad ID the state holds the arrivals before it.
+        """
+        highest, uploadable, pending = self.highest_seen, self.uploadable, self.pending
+        sizes: list[int] = []
+        uploads: list[int] = []
+        add_size, add_upload = sizes.append, uploads.append
+        try:
+            for v in ids:
+                # on a bad ID, self.arrivals + len(sizes) + 1 is its 1-based position
+                if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+                    raise _not_positive(self.arrivals + len(sizes) + 1, v)
+                if v <= uploadable:
+                    pos = self.arrivals + len(sizes) + 1
+                    raise _not_positive(pos, v) if v <= 0 else _duplicate(pos, v)
+                if v == uploadable + 1:
+                    uploadable = v
+                    while uploadable + 1 in pending:
+                        uploadable += 1
+                        pending.remove(uploadable)
+                elif v in pending:
+                    raise _duplicate(self.arrivals + len(sizes) + 1, v)
+                else:
+                    pending.add(v)
+                if v > highest:
+                    highest = v
+                add_size(highest - uploadable)
+                add_upload(uploadable)
+        finally:
+            self.highest_seen, self.uploadable = highest, uploadable
+            self.arrivals += len(sizes)
+        return sizes, uploads
 
 
 def receiver_pass(ids: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Validate a trace and run the receiver over it in one loop.
-
-    Returns the buffer size and the upload point (the ACK minus one) after
-    each arrival.  IDs are checked as they arrive, with the messages and
-    1-based positions of ``check_ids``.  Only IDs above the upload point are
-    kept, so apart from the two output series the memory used follows the
-    buffer occupancy, not the trace length.
-    """
-    highest = uploadable = 0
-    pending: set[int] = set()  # received IDs above the upload point
-    sizes: list[int] = []
-    uploads: list[int] = []
-    add_size, add_upload = sizes.append, uploads.append
-    for v in ids:
-        # on a bad ID, len(sizes) + 1 is its 1-based position
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-            raise _not_positive(len(sizes) + 1, v)
-        if v <= uploadable:
-            pos = len(sizes) + 1
-            raise _not_positive(pos, v) if v <= 0 else _duplicate(pos, v)
-        if v == uploadable + 1:
-            uploadable = v
-            while uploadable + 1 in pending:
-                uploadable += 1
-                pending.remove(uploadable)
-        elif v in pending:
-            raise _duplicate(len(sizes) + 1, v)
-        else:
-            pending.add(v)
-        if v > highest:
-            highest = v
-        add_size(highest - uploadable)
-        add_upload(uploadable)
-    return sizes, uploads
+    """Validate a trace and run a fresh receiver over it: ``ReceiverState().feed``."""
+    return ReceiverState().feed(ids)
 
 
 def buffer_sizes(ids: Iterable[int]) -> tuple[int, ...]:
@@ -175,14 +175,12 @@ def ack_sequence(ids: Iterable[int]) -> tuple[int, ...]:
 
 def fb_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
     """True when two traces produce identical buffer-size series."""
-    sizes_a = receiver_pass(a)[0]
-    return sizes_a == receiver_pass(b)[0]
+    return receiver_pass(a)[0] == receiver_pass(b)[0]
 
 
 def behaviorally_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
     """True when two traces produce identical ACK series."""
-    uploads_a = receiver_pass(a)[1]
-    return uploads_a == receiver_pass(b)[1]
+    return receiver_pass(a)[1] == receiver_pass(b)[1]
 
 
 def ack_from_buffer(values: Sequence[int]) -> tuple[int, ...]:

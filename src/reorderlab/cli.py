@@ -307,9 +307,11 @@ def cmd_consistency(args: argparse.Namespace) -> Report:
 
 def _dt_value(text: str) -> int | float:
     try:
-        return math.inf if text == "inf" else int(text)
+        if (dt := math.inf if text == "inf" else int(text)) > 0:
+            return dt
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

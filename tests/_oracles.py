@@ -37,6 +37,43 @@ def oracle_check_ids(ids):
     return out
 
 
+class OracleReceiverState:
+    """``ReceiverState`` as one ``observe`` loop that keeps every ID it received."""
+
+    def __init__(self):
+        self.highest_seen = 0
+        self.uploadable = 0
+        self.received = set()
+        self.arrivals = 0
+
+    @property
+    def buffer_size(self):
+        return self.highest_seen - self.uploadable
+
+    @property
+    def next_ack(self):
+        return self.uploadable + 1
+
+    def observe(self, packet_id):
+        pos = self.arrivals + 1
+        if isinstance(packet_id, bool) or not isinstance(packet_id, int) or packet_id <= 0:
+            raise InvalidSequenceError(
+                f"packet ID at position {pos} must be a positive integer, got {packet_id!r}",
+                position=pos,
+            )
+        if packet_id in self.received:
+            raise InvalidSequenceError(
+                f"duplicate packet ID {packet_id} at position {pos}", position=pos
+            )
+        self.received.add(packet_id)
+        self.arrivals = pos
+        if packet_id > self.highest_seen:
+            self.highest_seen = packet_id
+        while self.uploadable + 1 in self.received:
+            self.uploadable += 1
+        return self.buffer_size
+
+
 def oracle_check_permutation(ids):
     """Permutation validation by one loop over every ID: ``check_permutation`` without its pre-check."""
     out = oracle_check_ids(ids)

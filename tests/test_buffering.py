@@ -1,6 +1,7 @@
 """Buffer-size mapping, ACK derivation, equivalence, and episodes."""
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -30,6 +31,7 @@ from reorderlab import (
 from reorderlab.buffering import check_buffer_values, receiver_pass
 
 from _oracles import (
+    OracleReceiverState,
     oracle_ack,
     oracle_check_buffer_values,
     oracle_check_ids,
@@ -73,12 +75,32 @@ def rough_series(draw):
     return tuple(values)
 
 
+@st.composite
+def split_traces(draw):
+    """A rough trace and its chunks at drawn cut points; chunks may be empty."""
+    ids = draw(rough_traces())
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(ids)), max_size=4)))
+    bounds = [0, *cuts, len(ids)]
+    return ids, [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _outcome(fn, *args):
     """A call's result, or the message and position of the error it raised."""
     try:
         return "ok", fn(*args)
     except InvalidSequenceError as exc:
         return "error", str(exc), exc.position
+
+
+def _state_view(state):
+    return (
+        state.highest_seen,
+        state.uploadable,
+        state.arrivals,
+        state.received,
+        state.buffer_size,
+        state.next_ack,
+    )
 
 
 def _receiver_state_series(ids):
@@ -441,6 +463,50 @@ class TestReceiverState:
     def test_observe_returns_buffer_size(self):
         state = ReceiverState()
         assert [state.observe(v) for v in (4, 3, 2, 1)] == [4, 4, 4, 0]
+
+    @given(rough_traces())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oracle_after_every_arrival(self, ids):
+        state, oracle = ReceiverState(), OracleReceiverState()
+        for v in ids:
+            # a bad ID raises on both and leaves both as they were
+            assert _outcome(state.observe, v) == _outcome(oracle.observe, v)
+            assert _state_view(state) == _state_view(oracle)
+            # only IDs above the upload point are kept, and they fit in the buffer
+            assert len(state.pending) <= max(state.buffer_size - 1, 0)
+
+    @given(split_traces())
+    @settings(max_examples=400, deadline=None)
+    def test_chunked_feed_matches_one_pass(self, split):
+        ids, chunks = split
+        state = ReceiverState()
+
+        def feed_chunks():
+            sizes, uploads = [], []
+            for chunk in chunks:
+                more_sizes, more_uploads = state.feed(iter(chunk))
+                sizes += more_sizes
+                uploads += more_uploads
+            return sizes, uploads
+
+        outcome = _outcome(feed_chunks)
+        # same series, or the same error at the same global position
+        assert outcome == _outcome(receiver_pass, ids)
+        fresh = ReceiverState()
+        fresh.feed(ids if outcome[0] == "ok" else ids[: outcome[2] - 1])
+        assert _state_view(state) == _state_view(fresh)
+
+    def test_in_order_memory_is_bounded(self):
+        state = ReceiverState()
+        tracemalloc.start()
+        try:
+            for v in range(1, 100_001):
+                state.observe(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (state.arrivals, state.buffer_size, state.pending) == (100_000, 0, set())
+        assert peak < 1 << 20
 
 
 class TestValidation:

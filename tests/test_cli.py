@@ -202,20 +202,31 @@ class TestRd:
         assert exc.value.code == 2
 
     def test_bad_dt_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "rd", "--dt", "0", "1 2 3")
-        assert code == EXIT_INPUT
-        assert "dt" in err
-
-    @pytest.mark.parametrize("command", [["rd", "1 2"], ["consistency", "--metric", "rd", "--n", "3"]])
-    def test_non_integer_dt_message(self, capsys, command):
+        # rejected by argparse, which exits with status 2
         with pytest.raises(SystemExit) as exc:
-            main([command[0], "--dt", "1e3", *command[1:]])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert captured.err.endswith(
-            "error: argument --dt: must be a positive integer or 'inf', got '1e3'\n"
-        )
+            main(["rd", "--dt", "0", "1 2 3"])
+        assert exc.value.code == EXIT_INPUT
+        assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["rd", "1 2"],
+            ["consistency", "--metric", "rd", "--n", "3"],
+            ["consistency", "--metric", "mean-buffer", "--n", "3"],
+        ],
+    )
+    def test_non_integer_dt_message(self, capsys, command):
+        # argparse rejects a dt that is not a positive integer, for every metric
+        for dt in ("1e3", "0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([command[0], "--dt", dt, *command[1:]])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert captured.err.endswith(
+                f"error: argument --dt: must be a positive integer or 'inf', got '{dt}'\n"
+            )
 
 
 class TestRcvWindow:

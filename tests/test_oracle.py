@@ -11,7 +11,6 @@ import pytest
 
 from reorderlab import (
     InvalidParameterError,
-    ReceiverState,
     buffer_sizes,
     enumerate_classes,
     lds_bruteforce,
@@ -23,7 +22,7 @@ from reorderlab import (
 from reorderlab.buffering import receiver_pass
 from reorderlab.oracle import _series_of, _sus_of
 
-from _oracles import oracle_classes, oracle_m
+from _oracles import OracleReceiverState, oracle_classes, oracle_m
 
 
 class TestSeriesTable:
@@ -45,7 +44,7 @@ class TestSeriesTable:
             members = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
             rest = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
             rng.shuffle(members)
-            state = ReceiverState()
+            state = OracleReceiverState()
             for v in members:
                 state.observe(v)
             assert series(tuple(members + rest))[len(members) - 1] == state.buffer_size
