@@ -58,24 +58,15 @@ class TraceParseError(ReorderError):
 
 def parse_trace(text: str, source: str) -> list[int]:
     """Parse trace text into integers, reporting offending line numbers."""
-    if "#" not in text:
-        try:
-            return list(map(int, text.split()))
-        except ValueError:
-            pass  # the line-by-line pass below names the line
-    values: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split():
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise TraceParseError(
-                    f"{source}:{lineno}: not an integer: {token!r}"
-                ) from None
-    return values
+    if "#" in text:
+        # cut each line at its comment; rejoining with "\n" keeps line numbers
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    try:
+        return list(map(int, text.split()))
+    except ValueError:
+        token = _first_non_integer(text.split())
+    lineno = next(i for i, line in enumerate(text.splitlines(), start=1) if token in line.split())
+    raise TraceParseError(f"{source}:{lineno}: not an integer: {token!r}")
 
 
 def resolve_trace(tokens: Sequence[str]) -> list[int]:
@@ -86,26 +77,31 @@ def resolve_trace(tokens: Sequence[str]) -> list[int]:
     """
     if len(tokens) == 1 and tokens[0] == "-":
         return parse_trace(sys.stdin.read(), "<stdin>")
-    values: list[int] = []
-    for token in tokens:
-        for piece in token.split():
-            try:
-                values.append(int(piece))
-            except ValueError:
-                if len(tokens) == 1 and os.path.exists(token):
-                    return _read_trace_file(token)
-                raise TraceParseError(
-                    f"not a readable trace file and not an integer: {piece!r}"
-                ) from None
-    return values
-
-
-def _read_trace_file(path: str) -> list[int]:
+    pieces = " ".join(tokens).split()
+    try:
+        return list(map(int, pieces))
+    except ValueError:
+        if len(tokens) != 1 or not os.path.exists(tokens[0]):
+            raise TraceParseError(
+                f"not a readable trace file and not an integer: {_first_non_integer(pieces)!r}"
+            ) from None
+    path = tokens[0]
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_trace(fh.read(), path)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceParseError(f"cannot read {path}: {exc}") from None
+    return parse_trace(text, path)
+
+
+def _first_non_integer(tokens: Iterable[str]) -> str | None:
+    """The first token ``int`` rejects: the error path of a whole-text parse."""
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            return token
+    return None
 
 
 class Report(NamedTuple):

@@ -10,6 +10,7 @@ uniquely; this module rebuilds it, or reports that no such preimage exists.
 
 from __future__ import annotations
 
+from itertools import count, filterfalse
 from typing import Iterable, NamedTuple
 
 from .buffering import ack_from_buffer, buffer_sizes, check_buffer_values
@@ -45,7 +46,7 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
     w = check_buffer_values(values)
     n = len(w)
     acks = ack_from_buffer(w)
-    packets: list[int | None] = [None] * n
+    packets = [0] * n  # phase 2 fills the zeros
     phase1: list[int] = []
     phase2: list[int] = []
     # the series starts from an implicit 0 with the ACK at 1
@@ -56,15 +57,11 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
             packets[pos - 1] = ack if wi < prev else ack + wi - 1
             phase1.append(pos)
 
-    used = {p for p in packets if p is not None}
-    next_free = 1
-    for pos in phase2:
-        while next_free in used:
-            next_free += 1
-        packets[pos - 1] = next_free
-        used.add(next_free)
+    pinned = set(packets)  # phase 1's IDs, and 0, which count(1) never yields
+    for pos, packet in zip(phase2, filterfalse(pinned.__contains__, count(1))):
+        packets[pos - 1] = packet
 
-    candidate = tuple(packets)  # type: ignore[arg-type]
+    candidate = tuple(packets)
     permutation = None
     if sorted(candidate) == list(range(1, n + 1)):
         if buffer_sizes(candidate) == w and sus(candidate) <= MAX_SUS:

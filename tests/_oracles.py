@@ -8,6 +8,8 @@ inputs small.
 
 import csv
 import io
+import os
+import sys
 from itertools import chain, combinations, permutations
 from random import Random
 
@@ -18,6 +20,7 @@ from reorderlab import (
     ReconstructionTrace,
     buffer_sizes,
 )
+from reorderlab.cli import TraceParseError
 from reorderlab.oracle import MAX_IDENTITY_N
 
 
@@ -72,6 +75,40 @@ class OracleReceiverState:
         while self.uploadable + 1 in self.received:
             self.uploadable += 1
         return self.buffer_size
+
+
+def oracle_parse_trace(text, source):
+    """``parse_trace`` as a loop over every line and token, ``int`` per token."""
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        for token in raw.split("#", 1)[0].split():
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise TraceParseError(f"{source}:{lineno}: not an integer: {token!r}") from None
+    return values
+
+
+def oracle_resolve_trace(tokens):
+    """``resolve_trace`` as a loop over every piece of every token, ``int`` per piece."""
+    if len(tokens) == 1 and tokens[0] == "-":
+        return oracle_parse_trace(sys.stdin.read(), "<stdin>")
+    values = []
+    for token in tokens:
+        for piece in token.split():
+            try:
+                values.append(int(piece))
+            except ValueError:
+                if len(tokens) == 1 and os.path.exists(token):
+                    try:
+                        with open(token, encoding="utf-8") as fh:
+                            return oracle_parse_trace(fh.read(), token)
+                    except (OSError, UnicodeDecodeError) as exc:
+                        raise TraceParseError(f"cannot read {token}: {exc}") from None
+                raise TraceParseError(
+                    f"not a readable trace file and not an integer: {piece!r}"
+                ) from None
+    return values
 
 
 def oracle_check_permutation(ids):
@@ -216,7 +253,9 @@ def oracle_reconstruct_trace(w):
 
     Phase 1 keeps the ACK alongside the walk: a shrink pins the previous ACK
     and advances it by the shrink amount, a flat zero step advances it by
-    one.  The candidate is verified with ``oracle_m`` and ``oracle_first_fit``.
+    one.  Phase 2 scans upward for the next unused ID instead of drawing from
+    one iterator.  The candidate is verified with ``oracle_m`` and
+    ``oracle_first_fit``.
     """
     w = tuple(w)
     n = len(w)

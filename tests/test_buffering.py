@@ -104,7 +104,7 @@ def _state_view(state):
 
 
 def _receiver_state_series(ids):
-    state = ReceiverState()
+    state = OracleReceiverState()
     sizes, acks = [], []
     for v in ids:
         sizes.append(state.observe(v))

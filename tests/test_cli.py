@@ -9,8 +9,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reorderlab.cli import (
     EXIT_INPUT,
@@ -25,7 +28,7 @@ from reorderlab.cli import (
 )
 from reorderlab.oracle import IdentityViolation
 
-from _oracles import oracle_rd_counts
+from _oracles import oracle_parse_trace, oracle_rd_counts, oracle_resolve_trace
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +69,65 @@ class TestTraceParsing:
     def test_stdin(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n"))
         assert resolve_trace(["-"]) == [2, 1]
+
+
+# every str.splitlines boundary, other whitespace, integers int accepts in
+# unusual spellings, and tokens it rejects
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+TRACE_PIECES = ["#", *LINE_BREAKS, " ", "\t", "\x1f", "1", "23", "0", "-5", "+4", "1_0", "\u0663"]
+TRACE_PIECES += ["-", "6x", "x", "_1", "1__0", "\x00", "#x"]
+trace_texts = st.lists(st.sampled_from(TRACE_PIECES), max_size=30).map("".join)
+
+
+def _read(fn, *args):
+    """A reader's list, or the message of the ``TraceParseError`` it raised."""
+    try:
+        return "ok", fn(*args)
+    except TraceParseError as exc:
+        return "error", str(exc)
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "t.txt"
+
+
+class TestReaderMatchesOracle:
+    """The one-pass reader against the loop that called ``int`` per token."""
+
+    @given(trace_texts)
+    @settings(max_examples=1000, deadline=None)
+    @example("1\r# c\r2 x\n")
+    @example("1\n# c\n2 y\n")
+    def test_parse_trace(self, text):
+        assert _read(parse_trace, text, "t") == _read(oracle_parse_trace, text, "t")
+
+    @given(st.lists(trace_texts, max_size=4).filter(lambda tokens: tokens != ["-"]))
+    @settings(max_examples=500, deadline=None)
+    def test_inline_tokens(self, tokens):
+        assert _read(resolve_trace, tokens) == _read(oracle_resolve_trace, tokens)
+
+    @given(trace_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_stdin(self, text):
+        outcomes = []
+        for fn in (resolve_trace, oracle_resolve_trace):
+            with mock.patch("sys.stdin", io.StringIO(text)):
+                outcomes.append(_read(fn, ["-"]))
+        assert outcomes[0] == outcomes[1]
+
+    @given(trace_texts, st.sampled_from([b"", b"\xff"]))
+    @settings(max_examples=200, deadline=None)
+    def test_file(self, trace_path, text, tail):
+        trace_path.write_bytes(text.encode() + tail)
+        for tokens in ([str(trace_path)], [str(trace_path), "1"]):
+            assert _read(resolve_trace, tokens) == _read(oracle_resolve_trace, tokens)
+
+    def test_missing_file_and_directory(self, tmp_path):
+        for tokens in ([str(tmp_path / "missing")], [str(tmp_path)], ["-", "-"], ["- 1"]):
+            outcome = _read(resolve_trace, tokens)
+            assert outcome[0] == "error"
+            assert outcome == _read(oracle_resolve_trace, tokens)
 
 
 class TestMap:

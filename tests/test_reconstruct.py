@@ -121,7 +121,7 @@ class TestTrace:
 
 
 class TestMatchesOwnAckLoop:
-    """``reconstruct_trace`` against the loop that kept its own running ACK."""
+    """``reconstruct_trace`` against the loop with its own running ACK and next-free scan."""
 
     def test_every_short_series(self):
         checked = 0
@@ -130,6 +130,12 @@ class TestMatchesOwnAckLoop:
                 assert reconstruct_trace(w) == oracle_reconstruct_trace(w)
                 checked += 1
         assert checked == 9331
+
+    def test_every_buffer_series_up_to_7(self):
+        series = {buffer_sizes(p) for n in range(8) for p in permutations(range(1, n + 1))}
+        for w in series:
+            assert reconstruct_trace(w) == oracle_reconstruct_trace(w)
+        assert len(series) == 1 + 1 + 2 + 6 + 23 + 103 + 513 + 2761  # A005802, n = 0..7
 
     @settings(max_examples=200, deadline=None)
     @given(
