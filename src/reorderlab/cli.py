@@ -66,7 +66,7 @@ def parse_trace(text: str, source: str) -> list[int]:
     except ValueError:
         token = _first_non_integer(text.split())
     lineno = next(i for i, line in enumerate(text.splitlines(), start=1) if token in line.split())
-    raise TraceParseError(f"{source}:{lineno}: not an integer: {token!r}")
+    raise TraceParseError(f"{source}:{lineno}: not an integer: {_shown(token)}")
 
 
 def resolve_trace(tokens: Sequence[str]) -> list[int]:
@@ -82,8 +82,9 @@ def resolve_trace(tokens: Sequence[str]) -> list[int]:
         return list(map(int, pieces))
     except ValueError:
         if len(tokens) != 1 or not os.path.exists(tokens[0]):
+            shown = _shown(_first_non_integer(pieces))
             raise TraceParseError(
-                f"not a readable trace file and not an integer: {_first_non_integer(pieces)!r}"
+                f"not a readable trace file and not an integer: {shown}"
             ) from None
     path = tokens[0]
     try:
@@ -102,6 +103,13 @@ def _first_non_integer(tokens: Iterable[str]) -> str | None:
         except ValueError:
             return token
     return None
+
+
+def _shown(token: str) -> str:
+    """A rejected token as an error message echoes it: overlong ones are cut."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
 
 
 class Report(NamedTuple):

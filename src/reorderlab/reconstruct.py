@@ -11,7 +11,7 @@ uniquely; this module rebuilds it, or reports that no such preimage exists.
 from __future__ import annotations
 
 from itertools import count, filterfalse
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .buffering import ack_from_buffer, buffer_sizes, check_buffer_values
 from .disorder import sus
@@ -30,22 +30,14 @@ class ReconstructionTrace(NamedTuple):
     permutation: tuple[int, ...] | None  # verified result, None if infeasible
 
 
-def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
-    """Run the two assignment phases and verify the candidate.
+def _candidate(
+    w: Sequence[int], acks: Sequence[int]
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Phases 1 and 2 on a valid series and its ACKs, without verification.
 
-    Phase 1 reads the ACK series from ``ack_from_buffer`` and pins every
-    step that moves the buffer to the ACK before it: a shrink is the arrival
-    of that ACK, and growth to size w is the new highest ID, ACK + w - 1.
-    Phase 2 fills every flat step, left to right, with the smallest positive
-    ID not used anywhere yet.
-
-    The candidate only stands if it is a permutation of 1..n whose buffer
-    series reproduces the input and whose SUS is at most MAX_SUS; otherwise
-    ``permutation`` is None.
+    Returns the candidate and the phase-1 and phase-2 positions (1-based).
     """
-    w = check_buffer_values(values)
     n = len(w)
-    acks = ack_from_buffer(w)
     packets = [0] * n  # phase 2 fills the zeros
     phase1: list[int] = []
     phase2: list[int] = []
@@ -60,10 +52,27 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
     pinned = set(packets)  # phase 1's IDs, and 0, which count(1) never yields
     for pos, packet in zip(phase2, filterfalse(pinned.__contains__, count(1))):
         packets[pos - 1] = packet
+    return tuple(packets), phase1, phase2
 
-    candidate = tuple(packets)
+
+def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
+    """Run the two assignment phases and verify the candidate.
+
+    Phase 1 reads the ACK series from ``ack_from_buffer`` and pins every
+    step that moves the buffer to the ACK before it: a shrink is the arrival
+    of that ACK, and growth to size w is the new highest ID, ACK + w - 1.
+    Phase 2 fills every flat step, left to right, with the smallest positive
+    ID not used anywhere yet.
+
+    The candidate only stands if it is a permutation of 1..n whose buffer
+    series reproduces the input and whose SUS is at most MAX_SUS; otherwise
+    ``permutation`` is None.
+    """
+    w = check_buffer_values(values)
+    acks = ack_from_buffer(w)
+    candidate, phase1, phase2 = _candidate(w, acks)
     permutation = None
-    if sorted(candidate) == list(range(1, n + 1)):
+    if sorted(candidate) == list(range(1, len(w) + 1)):
         if buffer_sizes(candidate) == w and sus(candidate) <= MAX_SUS:
             permutation = candidate
     return ReconstructionTrace(

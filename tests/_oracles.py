@@ -77,6 +77,13 @@ class OracleReceiverState:
         return self.buffer_size
 
 
+def oracle_shown(token):
+    """A rejected token as the readers echo it: whole, or its first 40 characters."""
+    if len(token) > 40:
+        return repr(token[:40]) + "... (" + str(len(token)) + " characters)"
+    return repr(token)
+
+
 def oracle_parse_trace(text, source):
     """``parse_trace`` as a loop over every line and token, ``int`` per token."""
     values = []
@@ -85,7 +92,9 @@ def oracle_parse_trace(text, source):
             try:
                 values.append(int(token))
             except ValueError:
-                raise TraceParseError(f"{source}:{lineno}: not an integer: {token!r}") from None
+                raise TraceParseError(
+                    f"{source}:{lineno}: not an integer: {oracle_shown(token)}"
+                ) from None
     return values
 
 
@@ -106,7 +115,7 @@ def oracle_resolve_trace(tokens):
                     except (OSError, UnicodeDecodeError) as exc:
                         raise TraceParseError(f"cannot read {token}: {exc}") from None
                 raise TraceParseError(
-                    f"not a readable trace file and not an integer: {piece!r}"
+                    f"not a readable trace file and not an integer: {oracle_shown(piece)}"
                 ) from None
     return values
 

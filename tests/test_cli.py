@@ -58,6 +58,24 @@ class TestTraceParsing:
     def test_inline_tokens(self):
         assert resolve_trace(["4", "3", "2", "1"]) == [4, 3, 2, 1]
 
+    @pytest.mark.parametrize(
+        "token, shown",
+        [
+            ("1" * 5000, "'" + "1" * 40 + "'... (5000 characters)"),
+            ("x" * 41, "'" + "x" * 40 + "'... (41 characters)"),
+            ("x" * 40, "'" + "x" * 40 + "'"),
+        ],
+        ids=["5000-digits", "41-chars", "40-chars"],
+    )
+    def test_overlong_token_is_cut(self, capsys, token, shown):
+        # int rejects more than 4,300 digits; the message echoes 40 characters
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(f"1\n2 {token}\n", "t")
+        assert str(exc.value) == f"t:2: not an integer: {shown}"
+        code, out, err = run_cli(capsys, "map", "1", token)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: not a readable trace file and not an integer: {shown}\n"
+
     def test_inline_quoted(self):
         assert resolve_trace(["4 3 2 1"]) == [4, 3, 2, 1]
 
@@ -99,6 +117,7 @@ class TestReaderMatchesOracle:
     @settings(max_examples=1000, deadline=None)
     @example("1\r# c\r2 x\n")
     @example("1\n# c\n2 y\n")
+    @example("1 " + "6x" * 25 + "\n")
     def test_parse_trace(self, text):
         assert _read(parse_trace, text, "t") == _read(oracle_parse_trace, text, "t")
 

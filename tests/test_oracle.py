@@ -159,6 +159,21 @@ class TestVerifyTheorem:
     def test_passes(self, n):
         assert verify_theorem(n) is None
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sus_called_on_sus3_members_only(self, monkeypatch, n):
+        # perfbench's traced gate counts the sus calls under verify_theorem
+        # that return <=3, and requires A005802(n) of them
+        results = []
+
+        def spy(perm):
+            results.append(sus(perm))
+            return results[-1]
+
+        monkeypatch.setattr("reorderlab.oracle.sus", spy)
+        assert verify_theorem(n) is None
+        assert len(results) == A005802[n - 1]
+        assert max(results) <= 3
+
     @pytest.mark.parametrize("n", [0, 10])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
@@ -190,7 +205,7 @@ class TestWitnessBranches:
             ("receiver_pass", _sizes_off_by_one, "highest-vs-ack"),
             ("lds_bruteforce", lambda perm: 0, "sus-vs-lds"),
             ("ack_from_buffer", lambda values: (), "ack-from-buffer"),
-            ("reconstruct", lambda values: None, "reconstruct-round-trip"),
+            ("_candidate", lambda w, acks: ((), [], []), "reconstruct-round-trip"),
         ],
     )
     def test_identities(self, monkeypatch, name, wrong, check):
@@ -211,3 +226,12 @@ class TestWitnessBranches:
             # with every member at SUS<=3, every multi-member class collides
             multi = sum(1 for members in oracle_classes(n).values() if len(members) >= 2)
             assert enumerate_classes(n).sus3_collision_count == multi > 0
+
+    @pytest.mark.parametrize(
+        "name, wrong",
+        [("_sus_of", lambda n: lambda perm: 1), ("sus", lambda perm: 1)],
+    )
+    def test_theorem_either_filter_alone(self, monkeypatch, name, wrong):
+        # the patience table and sus each keep the SUS>=4 members out
+        monkeypatch.setattr(f"reorderlab.oracle.{name}", wrong)
+        assert verify_theorem(5) is None

@@ -15,6 +15,8 @@ from reorderlab import (
     reconstruct_trace,
     sus,
 )
+from reorderlab.buffering import ack_from_buffer
+from reorderlab.reconstruct import _candidate
 
 from _oracles import interleave_runs, oracle_reconstruct_trace
 
@@ -154,3 +156,20 @@ class TestMatchesOwnAckLoop:
     )
     def test_long_series(self, w):
         assert reconstruct_trace(w) == oracle_reconstruct_trace(w)
+
+
+class TestUnverifiedCandidate:
+    """``_candidate`` alone decides the round trip that ``verify_identities`` checks."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_round_trip_matches_reconstruct(self, n):
+        checked = 0
+        for p in permutations(range(1, n + 1)):
+            m = buffer_sizes(p)
+            candidate = _candidate(m, ack_from_buffer(m))[0]
+            low = sus(p) <= 3
+            # every SUS<=3 permutation, where the two must agree; above 3 the
+            # candidate may still be p, which reconstruct rejects
+            assert (low and candidate == p) == (reconstruct(m) == p)
+            checked += low
+        assert checked == (1, 1, 2, 6, 23, 103, 513, 2761)[n]  # A005802
