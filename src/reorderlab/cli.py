@@ -6,6 +6,9 @@ themselves (``reorderlab map 4 3 2 1`` and ``reorderlab map "4 3 2 1"`` both
 work), ``-`` for standard input, or a file path.  Arguments made of integers
 are always inline, even when a file of that name exists.
 
+``COMMANDS`` declares each subcommand once: its handler, its help and its
+arguments.  ``main`` alone maps errors to exit codes.
+
 Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
 alone reads ``--format`` and writes results to standard output.  Text and
 csv are lines, csv's header first, with the integers of a block of lines
@@ -318,107 +321,89 @@ def _dt_value(text: str) -> int | float:
     raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {text!r}")
 
 
+_FORMAT = (
+    "--format",
+    dict(choices=["text", "json", "csv"], default="text", help="output format (default: text)"),
+)
+_TRACE = ("trace", dict(nargs="+", help="trace file, '-' for stdin, or inline integers"))
+_N = ("--n", dict(type=int, required=True, help="permutation length"))
+_DT = dict(type=_dt_value, metavar="DT")
+
+# name: (handler, help, arguments after --format), in the order usage lists them
+COMMANDS = {
+    "map": (cmd_map, "buffer size after each arrival", [_TRACE]),
+    "ack": (cmd_ack, "cumulative ACK after each arrival", [_TRACE]),
+    "sus": (cmd_sus, "greedy ascending-list partition and SUS value", [_TRACE]),
+    "episodes": (cmd_episodes, "ordered/unordered episodes and pivot packets", [_TRACE]),
+    "rd": (
+        cmd_rd,
+        "displacement distribution of a permutation",
+        [
+            _TRACE,
+            ("--dt", dict(_DT, required=True,
+                          help="truncation threshold: positive integer or 'inf'")),
+        ],
+    ),
+    "rcvwindow": (
+        cmd_rcvwindow,
+        "advertised window for a given buffer capacity",
+        [
+            _TRACE,
+            ("--rcv-buffer", dict(type=int, required=True, metavar="SIZE",
+                                  help="receiver buffer capacity in packets")),
+        ],
+    ),
+    "equiv": (
+        cmd_equiv,
+        "compare two traces for buffer and behavioral equivalence",
+        [
+            ("trace_a", dict(help="first trace: file, '-', or quoted inline integers")),
+            ("trace_b", dict(help="second trace: file, '-', or quoted inline integers")),
+        ],
+    ),
+    "reconstruct": (
+        cmd_reconstruct,
+        "rebuild the unique SUS<=3 permutation from a buffer-size series",
+        [_TRACE],
+    ),
+    "verify": (cmd_verify, "exhaustively verify uniqueness and cross-check identities", [_N]),
+    "consistency": (
+        cmd_consistency,
+        "probe a metric for consistency under buffer equivalence",
+        [
+            ("--metric", dict(choices=["rd", "mean-buffer"], required=True,
+                              help="metric to probe")),
+            ("--dt", dict(_DT, help="threshold for --metric rd: positive integer or 'inf'")),
+            _N,
+        ],
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reorderlab",
         description="Analyze packet-ID traces through receiver buffer dynamics.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["text", "json", "csv"],
-        default="text",
-        help="output format (default: text)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_trace_command(name: str, func, help_text: str):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument(
-            "trace",
-            nargs="+",
-            help="trace file, '-' for stdin, or inline integers",
-        )
-        p.set_defaults(func=func)
-        return p
-
-    add_trace_command("map", cmd_map, "buffer size after each arrival")
-    add_trace_command("ack", cmd_ack, "cumulative ACK after each arrival")
-    add_trace_command("sus", cmd_sus, "greedy ascending-list partition and SUS value")
-    add_trace_command(
-        "episodes", cmd_episodes, "ordered/unordered episodes and pivot packets"
-    )
-
-    p = add_trace_command("rd", cmd_rd, "displacement distribution of a permutation")
-    p.add_argument(
-        "--dt",
-        type=_dt_value,
-        required=True,
-        metavar="DT",
-        help="truncation threshold: positive integer or 'inf'",
-    )
-
-    p = add_trace_command(
-        "rcvwindow", cmd_rcvwindow, "advertised window for a given buffer capacity"
-    )
-    p.add_argument(
-        "--rcv-buffer",
-        type=int,
-        required=True,
-        metavar="SIZE",
-        help="receiver buffer capacity in packets",
-    )
-
-    p = sub.add_parser(
-        "equiv",
-        parents=[common],
-        help="compare two traces for buffer and behavioral equivalence",
-    )
-    p.add_argument("trace_a", help="first trace: file, '-', or quoted inline integers")
-    p.add_argument("trace_b", help="second trace: file, '-', or quoted inline integers")
-    p.set_defaults(func=cmd_equiv)
-
-    add_trace_command(
-        "reconstruct",
-        cmd_reconstruct,
-        "rebuild the unique SUS<=3 permutation from a buffer-size series",
-    )
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="exhaustively verify uniqueness and cross-check identities",
-    )
-    p.add_argument("--n", type=int, required=True, help="permutation length")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "consistency",
-        parents=[common],
-        help="probe a metric for consistency under buffer equivalence",
-    )
-    p.add_argument(
-        "--metric",
-        choices=["rd", "mean-buffer"],
-        required=True,
-        help="metric to probe",
-    )
-    p.add_argument(
-        "--dt",
-        type=_dt_value,
-        default=None,
-        metavar="DT",
-        help="threshold for --metric rd: positive integer or 'inf'",
-    )
-    p.add_argument("--n", type=int, required=True, help="permutation length")
-    p.set_defaults(func=cmd_consistency)
+    for name, (handler, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in [_FORMAT, *arguments]:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
-            return _dispatch(build_parser().parse_args(argv))
+            args = build_parser().parse_args(argv)
+            report = args.func(args)
+            render(report, args.format)
+            return report.code
+        except ReorderError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
         finally:
             sys.stdout.flush()
     except BrokenPipeError:
@@ -428,16 +413,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    try:
-        report = args.func(args)
-        render(report, args.format)
-        return report.code
-    except ReorderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
 
 
 def run() -> None:

@@ -6,6 +6,7 @@ subsequence search instead of dynamic programming.  Slow on purpose; keep
 inputs small.
 """
 
+import argparse
 import csv
 import io
 import os
@@ -20,7 +21,20 @@ from reorderlab import (
     ReconstructionTrace,
     buffer_sizes,
 )
-from reorderlab.cli import TraceParseError
+from reorderlab.cli import (
+    TraceParseError,
+    _dt_value,
+    cmd_ack,
+    cmd_consistency,
+    cmd_episodes,
+    cmd_equiv,
+    cmd_map,
+    cmd_rcvwindow,
+    cmd_rd,
+    cmd_reconstruct,
+    cmd_sus,
+    cmd_verify,
+)
 from reorderlab.oracle import MAX_IDENTITY_N
 
 
@@ -427,3 +441,101 @@ def oracle_render(views, fmt):
     writer.writerow(header)
     writer.writerows(rows)
     return code, out.getvalue()
+
+
+def oracle_build_parser() -> argparse.ArgumentParser:
+    """``cli.build_parser`` before the command table: a ``--format`` parent and a closure."""
+    parser = argparse.ArgumentParser(
+        prog="reorderlab",
+        description="Analyze packet-ID traces through receiver buffer dynamics.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=["text", "json", "csv"],
+        default="text",
+        help="output format (default: text)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_trace_command(name: str, func, help_text: str):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument(
+            "trace",
+            nargs="+",
+            help="trace file, '-' for stdin, or inline integers",
+        )
+        p.set_defaults(func=func)
+        return p
+
+    add_trace_command("map", cmd_map, "buffer size after each arrival")
+    add_trace_command("ack", cmd_ack, "cumulative ACK after each arrival")
+    add_trace_command("sus", cmd_sus, "greedy ascending-list partition and SUS value")
+    add_trace_command(
+        "episodes", cmd_episodes, "ordered/unordered episodes and pivot packets"
+    )
+
+    p = add_trace_command("rd", cmd_rd, "displacement distribution of a permutation")
+    p.add_argument(
+        "--dt",
+        type=_dt_value,
+        required=True,
+        metavar="DT",
+        help="truncation threshold: positive integer or 'inf'",
+    )
+
+    p = add_trace_command(
+        "rcvwindow", cmd_rcvwindow, "advertised window for a given buffer capacity"
+    )
+    p.add_argument(
+        "--rcv-buffer",
+        type=int,
+        required=True,
+        metavar="SIZE",
+        help="receiver buffer capacity in packets",
+    )
+
+    p = sub.add_parser(
+        "equiv",
+        parents=[common],
+        help="compare two traces for buffer and behavioral equivalence",
+    )
+    p.add_argument("trace_a", help="first trace: file, '-', or quoted inline integers")
+    p.add_argument("trace_b", help="second trace: file, '-', or quoted inline integers")
+    p.set_defaults(func=cmd_equiv)
+
+    add_trace_command(
+        "reconstruct",
+        cmd_reconstruct,
+        "rebuild the unique SUS<=3 permutation from a buffer-size series",
+    )
+
+    p = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="exhaustively verify uniqueness and cross-check identities",
+    )
+    p.add_argument("--n", type=int, required=True, help="permutation length")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser(
+        "consistency",
+        parents=[common],
+        help="probe a metric for consistency under buffer equivalence",
+    )
+    p.add_argument(
+        "--metric",
+        choices=["rd", "mean-buffer"],
+        required=True,
+        help="metric to probe",
+    )
+    p.add_argument(
+        "--dt",
+        type=_dt_value,
+        default=None,
+        metavar="DT",
+        help="threshold for --metric rd: positive integer or 'inf'",
+    )
+    p.add_argument("--n", type=int, required=True, help="permutation length")
+    p.set_defaults(func=cmd_consistency)
+    return parser

@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +30,12 @@ from reorderlab.cli import (
 )
 from reorderlab.oracle import IdentityViolation
 
-from _oracles import oracle_parse_trace, oracle_rd_counts, oracle_resolve_trace
+from _oracles import (
+    oracle_build_parser,
+    oracle_parse_trace,
+    oracle_rd_counts,
+    oracle_resolve_trace,
+)
 
 
 def run_cli(capsys, *argv):
@@ -510,75 +517,76 @@ class TestImportHygiene:
         }
 
 
+# (argv, exit code, stdout) of TestExactOutput
+EXACT_CASES = [
+    (["ack", "--format", "json", "4 3 2 1"], EXIT_OK, '{"values":[1,1,1,5]}\n'),
+    (
+        ["ack", "--format", "csv", "4 3 2 1"],
+        EXIT_OK,
+        "position,value\n1,1\n2,1\n3,1\n4,5\n",
+    ),
+    (["sus", "--format", "csv", "4 2 3 1"], EXIT_OK, "list,id\n1,4\n2,2\n2,3\n3,1\n"),
+    (
+        ["episodes", "--format", "json", "1 2 3 6 5 7 4 8 9 10 12 13 14 11"],
+        EXIT_OK,
+        '{"episodes":[{"end":3,"start":1,"state":"O"},'
+        '{"end":7,"start":4,"state":"U"},{"end":10,"start":8,"state":"O"},'
+        '{"end":14,"start":11,"state":"U"}],'
+        '"pivot_packets":[1,2,3,4,8,9,10,11],"pivots":[1,2,3,7,8,9,10,14]}\n',
+    ),
+    (
+        ["rd", "--dt", "inf", "--format", "csv", "4 2 3 1"],
+        EXIT_OK,
+        "displacement,count,total\n-3,1,4\n0,2,4\n3,1,4\n",
+    ),
+    (
+        ["rcvwindow", "--rcv-buffer", "4", "--format", "json", "4 3 2 1"],
+        EXIT_OK,
+        '{"rcv_buffer":4,"values":[0,0,0,4]}\n',
+    ),
+    (
+        ["rcvwindow", "--rcv-buffer", "4", "--format", "csv", "4 3 2 1"],
+        EXIT_OK,
+        "position,value\n1,0\n2,0\n3,0\n4,4\n",
+    ),
+    (
+        ["equiv", "--format", "csv", "2 4 1 3", "4 2 1 3"],
+        EXIT_NEGATIVE,
+        "predicate,value\nfb-equivalent,false\nbehaviorally-equivalent,true\n",
+    ),
+    (
+        ["reconstruct", "--format", "csv", "4 4 4 0"],
+        EXIT_OK,
+        "position,id\n1,4\n2,2\n3,3\n4,1\n",
+    ),
+    (["reconstruct", "--format", "csv", "1"], EXIT_NEGATIVE, "position,id\n"),
+    (
+        ["verify", "--n", "5", "--format", "csv"],
+        EXIT_OK,
+        "check,result\ntheorem,pass\nidentities,pass\n",
+    ),
+    (
+        ["verify", "--n", "8", "--format", "csv"],
+        EXIT_OK,
+        "check,result\ntheorem,pass\nidentities,skipped\n",
+    ),
+    (
+        ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4", "--format", "csv"],
+        EXIT_NEGATIVE,
+        "field,value\nconsistent,false\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n",
+    ),
+    (
+        ["consistency", "--metric", "mean-buffer", "--n", "4", "--format", "csv"],
+        EXIT_OK,
+        "field,value\nconsistent,true\n",
+    ),
+]
+
+
 class TestExactOutput:
     """Byte-exact stdout for (command, format) pairs pinned nowhere else."""
 
-    @pytest.mark.parametrize(
-        "argv, code, out",
-        [
-            (["ack", "--format", "json", "4 3 2 1"], EXIT_OK, '{"values":[1,1,1,5]}\n'),
-            (
-                ["ack", "--format", "csv", "4 3 2 1"],
-                EXIT_OK,
-                "position,value\n1,1\n2,1\n3,1\n4,5\n",
-            ),
-            (["sus", "--format", "csv", "4 2 3 1"], EXIT_OK, "list,id\n1,4\n2,2\n2,3\n3,1\n"),
-            (
-                ["episodes", "--format", "json", "1 2 3 6 5 7 4 8 9 10 12 13 14 11"],
-                EXIT_OK,
-                '{"episodes":[{"end":3,"start":1,"state":"O"},'
-                '{"end":7,"start":4,"state":"U"},{"end":10,"start":8,"state":"O"},'
-                '{"end":14,"start":11,"state":"U"}],'
-                '"pivot_packets":[1,2,3,4,8,9,10,11],"pivots":[1,2,3,7,8,9,10,14]}\n',
-            ),
-            (
-                ["rd", "--dt", "inf", "--format", "csv", "4 2 3 1"],
-                EXIT_OK,
-                "displacement,count,total\n-3,1,4\n0,2,4\n3,1,4\n",
-            ),
-            (
-                ["rcvwindow", "--rcv-buffer", "4", "--format", "json", "4 3 2 1"],
-                EXIT_OK,
-                '{"rcv_buffer":4,"values":[0,0,0,4]}\n',
-            ),
-            (
-                ["rcvwindow", "--rcv-buffer", "4", "--format", "csv", "4 3 2 1"],
-                EXIT_OK,
-                "position,value\n1,0\n2,0\n3,0\n4,4\n",
-            ),
-            (
-                ["equiv", "--format", "csv", "2 4 1 3", "4 2 1 3"],
-                EXIT_NEGATIVE,
-                "predicate,value\nfb-equivalent,false\nbehaviorally-equivalent,true\n",
-            ),
-            (
-                ["reconstruct", "--format", "csv", "4 4 4 0"],
-                EXIT_OK,
-                "position,id\n1,4\n2,2\n3,3\n4,1\n",
-            ),
-            (["reconstruct", "--format", "csv", "1"], EXIT_NEGATIVE, "position,id\n"),
-            (
-                ["verify", "--n", "5", "--format", "csv"],
-                EXIT_OK,
-                "check,result\ntheorem,pass\nidentities,pass\n",
-            ),
-            (
-                ["verify", "--n", "8", "--format", "csv"],
-                EXIT_OK,
-                "check,result\ntheorem,pass\nidentities,skipped\n",
-            ),
-            (
-                ["consistency", "--metric", "rd", "--dt", "inf", "--n", "4", "--format", "csv"],
-                EXIT_NEGATIVE,
-                "field,value\nconsistent,false\nwitness-a,4 2 3 1\nwitness-b,4 3 2 1\n",
-            ),
-            (
-                ["consistency", "--metric", "mean-buffer", "--n", "4", "--format", "csv"],
-                EXIT_OK,
-                "field,value\nconsistent,true\n",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, code, out", EXACT_CASES)
     def test_stdout(self, capsys, argv, code, out):
         assert run_cli(capsys, *argv) == (code, out, "")
 
@@ -808,7 +816,81 @@ class TestFormatsAgree:
         assert values[0] == values[1] == values[2]
 
     def test_every_subcommand_covered(self):
-        sub = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        assert {argv[0] for argv in FORMAT_CASES} == set(FORMAT_READERS) == set(sub.choices)
+        sub = _subcommands(build_parser())
+        assert {argv[0] for argv in FORMAT_CASES} == set(FORMAT_READERS) == set(sub)
+
+
+def _subcommands(parser):
+    """A parser's subparsers by name, in the order they were added."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parsed(build, argv):
+    """``vars`` of the namespace, or the exit code and what was printed when parsing exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(build().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _pieces(argv):
+    """An argv's options, each with its value, and its positionals, one piece each."""
+    tokens = iter(argv)
+    return [[token, next(tokens)] if token.startswith("--") else [token] for token in tokens]
+
+
+# argvs on which parsing exits: help, and usage errors
+PARSE_EXITS = [
+    [],
+    ["-h"],
+    ["bogus", "1"],
+    ["map"],
+    ["map", "--format", "xml", "1"],
+    ["map", "-h"],
+    ["rd", "1"],
+    ["rd", "--dt", "0", "1"],
+    ["rd", "--dt", "x", "1"],
+    ["rcvwindow", "--rcv-buffer", "x", "1"],
+    ["equiv", "1"],
+    ["equiv", "1", "2", "3"],
+    ["verify"],
+    ["verify", "--n", "x"],
+    ["consistency", "--n", "4"],
+    ["consistency", "--metric", "max", "--n", "4"],
+    ["--format", "json", "map", "1"],
+]
+VALID_ARGVS = FORMAT_CASES + [argv for argv, _, _ in EXACT_CASES]
+
+
+class TestParserMatchesOracle:
+    """The command table builds the parser that the parent parser and closure built."""
+
+    @pytest.mark.parametrize("command", [None, *_subcommands(oracle_build_parser())])
+    def test_help_and_usage(self, command):
+        new, old = build_parser(), oracle_build_parser()
+        if command is not None:
+            new, old = _subcommands(new)[command], _subcommands(old)[command]
+        assert new.format_help() == old.format_help()
+        assert new.format_usage() == old.format_usage()
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_namespace(self, argv):
+        parsed = _parsed(build_parser, argv)
+        assert isinstance(parsed, dict)
+        assert parsed == _parsed(oracle_build_parser, argv)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_namespace_any_order(self, data):
+        argv = data.draw(st.sampled_from(VALID_ARGVS))
+        order = data.draw(st.permutations(_pieces(argv[1:] + ["--format", "json"])))
+        argv = [argv[0], *chain.from_iterable(order)]
+        assert _parsed(build_parser, argv) == _parsed(oracle_build_parser, argv)
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_exit_and_messages(self, argv):
+        parsed = _parsed(build_parser, argv)
+        assert isinstance(parsed, tuple)
+        assert parsed == _parsed(oracle_build_parser, argv)
