@@ -37,12 +37,11 @@ def _candidate(
 
     Returns the candidate and the phase-1 and phase-2 positions (1-based).
     """
-    n = len(w)
-    packets = [0] * n  # phase 2 fills the zeros
+    packets = [0] * len(w)  # phase 2 fills the zeros
     phase1: list[int] = []
     phase2: list[int] = []
     # the series starts from an implicit 0 with the ACK at 1
-    for pos, prev, wi, ack in zip(range(1, n + 1), (0, *w), w, (1, *acks)):
+    for pos, prev, wi, ack in zip(count(1), (0, *w), w, (1, *acks)):
         if wi == prev:
             phase2.append(pos)
         else:

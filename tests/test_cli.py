@@ -586,7 +586,9 @@ EXACT_CASES = [
 class TestExactOutput:
     """Byte-exact stdout for (command, format) pairs pinned nowhere else."""
 
-    @pytest.mark.parametrize("argv, code, out", EXACT_CASES)
+    @pytest.mark.parametrize(
+        "argv, code, out", EXACT_CASES, ids=[" ".join(argv) for argv, _, _ in EXACT_CASES]
+    )
     def test_stdout(self, capsys, argv, code, out):
         assert run_cli(capsys, *argv) == (code, out, "")
 

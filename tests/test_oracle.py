@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 from reorderlab import (
+    IdentityViolation,
     InvalidParameterError,
     buffer_sizes,
     enumerate_classes,
@@ -131,6 +132,15 @@ class TestEnumerateClasses:
     def test_deterministic(self):
         assert enumerate_classes(5) == enumerate_classes(5)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_match_kernel_loop(self, n):
+        sizes = [len(members) for members in oracle_classes(n).values()]
+        report = enumerate_classes(n)
+        assert report.class_count == len(sizes)
+        assert report.max_class_size == max(sizes)
+        assert report.multi_member_count == sum(1 for s in sizes if s >= 2)
+        assert report.multi_member_count == MULTI_MEMBER[n - 1]
+
     @pytest.mark.parametrize("n", [0, -1, 10])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
@@ -140,6 +150,9 @@ class TestEnumerateClasses:
 # OEIS A005802: permutations of length n with no increasing subsequence of
 # length 4, i.e. (reversed) those with SUS <= 3, for n = 1..9
 A005802 = (1, 2, 6, 23, 103, 513, 2761, 15767, 94359)
+
+# buffer classes of S_n with two or more members, for n = 1..7
+MULTI_MEMBER = (0, 0, 0, 1, 13, 117, 924)
 
 
 class TestCompleteness:
@@ -182,8 +195,17 @@ class TestVerifyTheorem:
 
 class TestVerifyIdentities:
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_passes(self, n):
+    def test_passes(self, monkeypatch, n):
+        # one receiver pass per permutation: the sweep visits all n! of S_n
+        visited = []
+
+        def spy(perm):
+            visited.append(perm)
+            return receiver_pass(perm)
+
+        monkeypatch.setattr("reorderlab.oracle.receiver_pass", spy)
         assert verify_identities(n) is None
+        assert visited == list(permutations(range(1, n + 1)))
 
     @pytest.mark.parametrize("n", [0, 8])
     def test_guard(self, n):
@@ -235,3 +257,24 @@ class TestWitnessBranches:
         # the patience table and sus each keep the SUS>=4 members out
         monkeypatch.setattr(f"reorderlab.oracle.{name}", wrong)
         assert verify_theorem(5) is None
+
+
+class TestBoundFour:
+    """At SUS<=4 uniqueness fails, as the paper says, and every engine sees it."""
+
+    @pytest.fixture(autouse=True)
+    def bound_four(self, monkeypatch):
+        monkeypatch.setattr("reorderlab.oracle.MAX_SUS", 4)
+
+    def test_theorem(self):
+        assert verify_theorem(4) == ((4, 2, 3, 1), (4, 3, 2, 1))
+
+    @pytest.mark.parametrize("n, collisions", [(4, 1), (5, 13)])
+    def test_classes(self, n, collisions):
+        # at n=5 that is every multi-member class
+        assert enumerate_classes(n).sus3_collision_count == collisions
+
+    def test_identities(self):
+        # (4, 3, 2, 1) has SUS 4; its series' candidate is (4, 2, 3, 1)
+        expected = IdentityViolation((4, 3, 2, 1), "reconstruct-round-trip")
+        assert verify_identities(4) == expected
