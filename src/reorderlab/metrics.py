@@ -94,9 +94,7 @@ def mean_buffer_size(ids: Iterable[int]) -> Fraction:
     from fractions import Fraction
 
     values = buffer_sizes(ids)
-    if not values:
-        return Fraction(0)
-    return Fraction(sum(values), len(values))
+    return Fraction(sum(values), len(values) or 1)
 
 
 def consistency_counterexample(
@@ -112,10 +110,8 @@ def consistency_counterexample(
     later member with that value alone.
     """
     _check_n(n, MAX_ENUMERATION_N)
-    series = _series_of(n)
     first: dict[tuple[int, ...], tuple[tuple[int, ...], object]] = {}
-    for perm in permutations(range(1, n + 1)):
-        key = series(perm)
+    for perm, key in zip(permutations(range(1, n + 1)), _series_of(n), strict=True):
         value = metric(perm)
         earlier, earlier_value = first.setdefault(key, (perm, value))
         # never compare the first member's value with itself: nan != nan

@@ -7,10 +7,11 @@ lexicographic and the first witness found is the one reported.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from itertools import accumulate, permutations, repeat
 from operator import add, getitem, or_
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 # buffer_sizes is unused here; perfbench wraps and checks every module's binding of it
 from .buffering import ack_from_buffer, buffer_sizes, receiver_pass
@@ -27,48 +28,58 @@ def _check_n(n: int, limit: int) -> None:
         raise InvalidParameterError(f"n must be an integer in 1..{limit}, got {n!r}")
 
 
-def _series_of(n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Buffer series of permutations of 1..n, read from a table of received sets.
+def _received_sets(n: int) -> list[int]:
+    """Buffer size after the IDs in ``mask``: the highest less the length of the run 1, 2, 3, ..."""
+    return [m.bit_length() - (m ^ (m + 1)).bit_length() + 1 for m in range(1 << n)]
 
-    The receiver's state after a prefix depends only on the set of IDs in
-    it, so ``table[mask]`` is the buffer size once the members of ``mask``
-    have arrived in any order: the highest ID, ``mask.bit_length()``, minus
-    the length of the run 1, 2, 3, ... in ``mask``, its count of trailing
-    ones.  No kernel runs.  A permutation's series is the table read at the
-    running OR of its IDs' bits.
+
+def _patience_nodes(n: int) -> list[list]:
+    """States of the greedy SUS partition of IDs 1..n, one per set ``mask`` of list tails.
+
+    An arrival v replaces the largest tail below it or opens a new list.  ``node[0]``
+    counts the tails, ``node[v]`` is the node v leads to, and ``nodes[0]`` is the root.
     """
-    table = [m.bit_length() - (m ^ (m + 1)).bit_length() + 1 for m in range(1 << n)]
-    bit = [0] + [1 << (v - 1) for v in range(1, n + 1)]
-    lookup, flag = table.__getitem__, bit.__getitem__
+    nodes = [[mask.bit_count()] for mask in range(1 << n)]
+    for mask, node in enumerate(nodes):
+        for bit in (1 << v for v in range(n)):
+            below = 1 << (mask & (bit - 1)).bit_length() >> 1  # the largest tail below, or 0
+            node.append(nodes[mask ^ below | bit])
+    return nodes
+
+
+def _series_of(n: int) -> Iterator[tuple[int, ...]]:
+    """Buffer series of the permutations of 1..n, in lexicographic order.
+
+    Each is a head of n // 2 IDs, in ``permutations(ids, n // 2)``'s order, then each of its
+    tails in order.  A tail's steps depend only on its head's set, so they are built once per set.
+    """
+    lookup, flag = _received_sets(n).__getitem__, [0, *(1 << v for v in range(n))].__getitem__
 
     def series(perm: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(lookup, accumulate(map(flag, perm), or_)))
 
-    return series
+    ids, tails_of = range(1, n + 1), {}
+    for head in permutations(ids, n // 2):
+        if (received := frozenset(head)) not in tails_of:
+            rest = permutations(v for v in ids if v not in received)
+            tails_of[received] = [series(head + tail)[n // 2 :] for tail in rest]
+        yield from map(add, repeat(series(head)), tails_of[received])
 
 
-def _sus_of(n: int) -> Callable[[tuple[int, ...]], int]:
-    """SUS of permutations of 1..n, read from a table of patience states.
+def _sus_of(n: int) -> Iterator[int]:
+    """SUS of the permutations of 1..n, split and ordered as in ``_series_of``.
 
-    The greedy partition's state after a prefix is the set of its list
-    tails: an arrival v replaces the largest tail below v, or opens a new
-    list when no tail is below it.  So there is one node per tail set
-    ``mask``: ``node[0]`` is the number of tails, and ``node[v]`` is the
-    node that v leads to.  A permutation's SUS is the tail count at the
-    node its IDs lead to from the empty set.
+    It is ``node[0]`` at the ``_patience_nodes`` node the IDs lead to from the
+    root, so the tails' SUS are counted once per node reached and set of head IDs.
     """
-    nodes = [[mask.bit_count()] for mask in range(1 << n)]
-    for mask, node in enumerate(nodes):
-        for v in range(1, n + 1):
-            bit = 1 << (v - 1)
-            largest_below = 1 << (mask & (bit - 1)).bit_length() >> 1  # 0 if none
-            node.append(nodes[(mask ^ largest_below) | bit])
-    root = nodes[0]
-
-    def count(perm: tuple[int, ...]) -> int:
-        return reduce(getitem, perm, root)[0]
-
-    return count
+    root, counts_of = _patience_nodes(n)[0], {}
+    for head in permutations(range(1, n + 1), n // 2):
+        node = reduce(getitem, head, root)
+        # every node lives as long as the root, so its id names it
+        if (key := (id(node), frozenset(head))) not in counts_of:
+            rest = permutations(v for v in range(1, n + 1) if v not in head)
+            counts_of[key] = [reduce(getitem, tail, node)[0] for tail in rest]
+        yield from counts_of[key]
 
 
 class EquivalenceClassReport(NamedTuple):
@@ -98,25 +109,21 @@ class IdentityViolation(NamedTuple):
 def enumerate_classes(n: int) -> EquivalenceClassReport:
     """Group S_n by buffer series, with summary statistics."""
     _check_n(n, MAX_ENUMERATION_N)
-    series = _series_of(n)
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for perm in permutations(range(1, n + 1)):
-        classes.setdefault(series(perm), []).append(perm)
+    low: list[tuple[int, ...]] = []  # the class of each SUS<=3 member
+    for perm, key, u in zip(permutations(range(1, n + 1)), _series_of(n), _sus_of(n), strict=True):
+        classes.setdefault(key, []).append(perm)
+        if u <= MAX_SUS:
+            low.append(key)
     frozen = {key: tuple(members) for key, members in classes.items()}
     sizes = [len(members) for members in frozen.values()]
-    count = _sus_of(n)
-    collisions = sum(
-        1
-        for members in frozen.values()
-        if len(members) >= 2 and sum(1 for p in members if count(p) <= MAX_SUS) >= 2
-    )
     return EquivalenceClassReport(
         n=n,
         classes=frozen,
         class_count=len(frozen),
         max_class_size=max(sizes),
         multi_member_count=sum(1 for s in sizes if s >= 2),
-        sus3_collision_count=collisions,
+        sus3_collision_count=sum(1 for c in Counter(low).values() if c >= 2),
     )
 
 
@@ -128,15 +135,12 @@ def verify_theorem(n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     implementation bug, not a counterexample to the underlying claim).
     """
     _check_n(n, MAX_ENUMERATION_N)
-    series = _series_of(n)
-    count = _sus_of(n)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for perm in permutations(range(1, n + 1)):
+    for perm, key, u in zip(permutations(range(1, n + 1)), _series_of(n), _sus_of(n), strict=True):
         # the patience table filters, and sus cross-checks its SUS<=3 members:
         # perfbench counts these calls, each returning <=3, against A005802(n)
-        if count(perm) > MAX_SUS or sus(perm) > MAX_SUS:
+        if u > MAX_SUS or sus(perm) > MAX_SUS:
             continue
-        key = series(perm)
         if key in seen:
             return seen[key], perm
         seen[key] = perm

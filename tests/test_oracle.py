@@ -1,8 +1,7 @@
 """Exhaustive small-length enumeration and verification engine."""
 
 from functools import reduce
-from inspect import getclosurevars
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations, repeat
 from math import factorial
 from operator import getitem
 from random import Random
@@ -21,7 +20,7 @@ from reorderlab import (
     verify_theorem,
 )
 from reorderlab.buffering import receiver_pass
-from reorderlab.oracle import _series_of, _sus_of
+from reorderlab.oracle import _patience_nodes, _received_sets, _series_of, _sus_of
 
 from _oracles import OracleReceiverState, oracle_classes, oracle_m
 
@@ -31,24 +30,34 @@ class TestSeriesTable:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_kernel_and_prefix_oracle(self, n):
-        series = _series_of(n)
-        for perm in permutations(range(1, n + 1)):
-            assert series(perm) == buffer_sizes(perm) == oracle_m(perm)
+        for perm, series in zip(permutations(range(1, n + 1)), _series_of(n), strict=True):
+            assert series == buffer_sizes(perm) == oracle_m(perm)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_entry_matches_receiver_state(self, n):
-        # a permutation that starts with a subset's members reads that
-        # subset's entry at the end of its prefix
+        # a set's entry is the buffer size once its members have arrived, in
+        # any order, and a permutation that starts with a non-empty set's
+        # members reads that entry at the end of its prefix
         rng = Random(n)
-        series = _series_of(n)
-        for mask in range(1, 1 << n):
+        table = _received_sets(n)
+        assert len(table) == 1 << n
+        reads = {}
+        for mask in range(1 << n):
             members = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
             rest = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
             rng.shuffle(members)
             state = OracleReceiverState()
             for v in members:
                 state.observe(v)
-            assert series(tuple(members + rest))[len(members) - 1] == state.buffer_size
+            assert table[mask] == state.buffer_size
+            if members:
+                reads.setdefault(tuple(members + rest), []).append((len(members) - 1, mask))
+        checked = 0
+        for perm, series in zip(permutations(range(1, n + 1)), _series_of(n), strict=True):
+            for position, mask in reads.get(perm, ()):
+                assert series[position] == table[mask]
+                checked += 1
+        assert checked == (1 << n) - 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_classes_match_kernel_loop(self, n):
@@ -68,13 +77,13 @@ class TestSusTable:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_sus_and_bruteforce(self, n):
-        count = _sus_of(n)
-        for perm in permutations(range(1, n + 1)):
-            assert count(perm) == sus(perm) == lds_bruteforce(perm)
+        for perm, count in zip(permutations(range(1, n + 1)), _sus_of(n), strict=True):
+            assert count == sus(perm) == lds_bruteforce(perm)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_transition_is_one_patience_step(self, n):
-        root = getclosurevars(_sus_of(n)).nonlocals["root"]
+        nodes = _patience_nodes(n)
+        root = nodes[0]
         # IDs fed in decreasing order each open a list of their own, so they
         # lead to the node whose tail set is exactly theirs
         node_of = {
@@ -82,7 +91,7 @@ class TestSusTable:
             for k in range(n + 1)
             for tails in combinations(range(1, n + 1), k)
         }
-        assert len({id(node) for node in node_of.values()}) == 1 << n
+        assert len({id(node) for node in node_of.values()}) == len(nodes) == 1 << n
         for tails, node in node_of.items():
             assert node[0] == len(tails)
             assert len(node) == n + 1
@@ -91,8 +100,7 @@ class TestSusTable:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_sus3_count_is_a005802(self, n):
-        count = _sus_of(n)
-        low = sum(1 for perm in permutations(range(1, n + 1)) if count(perm) <= 3)
+        low = sum(1 for count in _sus_of(n) if count <= 3)
         assert low == A005802[n - 1]
 
 
@@ -167,6 +175,34 @@ class TestCompleteness:
         assert low == [1] * A005802[n - 1]
 
 
+def _one_short(table):
+    return lambda n: islice(table(n), factorial(n) - 1)
+
+
+def _one_long(table):
+    return lambda n: chain(table(n), islice(table(n), 1))
+
+
+class TestTableLength:
+    """The tables give one value per permutation, and the engines check it."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("table", [_series_of, _sus_of])
+    def test_one_value_per_permutation(self, table, n):
+        assert sum(1 for _ in table(n)) == factorial(n)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("wrong", [_one_short, _one_long])
+    @pytest.mark.parametrize("table", [_series_of, _sus_of])
+    def test_engines_raise_on_a_wrong_length(self, monkeypatch, table, wrong, n):
+        # a partial result would pass for a complete one
+        monkeypatch.setattr(f"reorderlab.oracle.{table.__name__}", wrong(table))
+        with pytest.raises(ValueError, match="zip"):
+            enumerate_classes(n)
+        with pytest.raises(ValueError, match="zip"):
+            verify_theorem(n)
+
+
 class TestVerifyTheorem:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passes(self, n):
@@ -236,7 +272,7 @@ class TestWitnessBranches:
 
     def test_theorem_and_classes(self, monkeypatch):
         monkeypatch.setattr("reorderlab.oracle.sus", lambda perm: 1)
-        monkeypatch.setattr("reorderlab.oracle._sus_of", lambda n: lambda perm: 1)
+        monkeypatch.setattr("reorderlab.oracle._sus_of", lambda n: repeat(1, factorial(n)))
         for n in (4, 5):
             series = {p: oracle_m(p) for p in permutations(range(1, n + 1))}
             # the pair found first ends at the earliest permutation sharing a
@@ -251,7 +287,7 @@ class TestWitnessBranches:
 
     @pytest.mark.parametrize(
         "name, wrong",
-        [("_sus_of", lambda n: lambda perm: 1), ("sus", lambda perm: 1)],
+        [("_sus_of", lambda n: repeat(1, factorial(n))), ("sus", lambda perm: 1)],
     )
     def test_theorem_either_filter_alone(self, monkeypatch, name, wrong):
         # the patience table and sus each keep the SUS>=4 members out
