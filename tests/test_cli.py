@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reorderlab import buffer_sizes
 from reorderlab.cli import (
     EXIT_INPUT,
     EXIT_NEGATIVE,
@@ -208,6 +210,11 @@ class TestMap:
         code, _, err = run_cli(capsys, "map", "1 1")
         assert code == EXIT_INPUT
         assert "duplicate" in err
+
+
+def test_exit_codes_are_the_documented_ones():
+    # the other tests compare with the constants, so pin their values once
+    assert (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_PIPE) == (0, 1, 2, 141)
 
 
 class TestAck:
@@ -517,6 +524,132 @@ class TestImportHygiene:
         }
 
 
+# Runs ``python -m reorderlab map 4 3 2 1`` and reports at exit whether the
+# cyclic garbage collector is on.
+COLLECTOR_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), file=sys.stderr))
+sys.argv = ["reorderlab", "map", "4", "3", "2", "1"]
+runpy.run_module("reorderlab", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestCollectorPolicy:
+    """The process entry point switches the cyclic collector off; ``main`` leaves it be."""
+
+    def test_process_runs_without_collector(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", COLLECTOR_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "4\n4\n4\n0\n", "False\n")
+
+    @pytest.mark.parametrize("argv", [["map", "4 3 2 1"], ["map", "x"], ["map"]], ids=" ".join)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_collector_as_found(self, capsys, enabled, argv):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                main(argv)
+            except SystemExit:  # the usage error of a trace-less map
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+def mild_trace(n, seed):
+    """1..n with each adjacent pair swapped with probability 0.1, swaps not overlapping."""
+    rng = random.Random(seed)
+    ids = list(range(1, n + 1))
+    i = 0
+    while i < n - 1:
+        if rng.random() < 0.1:
+            ids[i], ids[i + 1] = ids[i + 1], ids[i]
+            i += 2
+        else:
+            i += 1
+    return ids
+
+
+def trace_files(directory, n):
+    """Files of two mild n-ID traces and the first one's buffer series, by placeholder name."""
+    trace = mild_trace(n, seed=1)
+    files = {}
+    for name, values in [
+        ("trace", trace),
+        ("other", mild_trace(n, seed=2)),
+        ("series", buffer_sizes(trace)),
+    ]:
+        files[name] = directory / f"{name}-{n}.txt"
+        files[name].write_text("".join(f"{v}\n" for v in values))
+    return files
+
+
+def cyclic_garbage(argv):
+    """What ``gc.collect()`` finds after ``main(argv)`` has run with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            assert main(argv) in (EXIT_OK, EXIT_NEGATIVE)  # a result, not an input error
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def garbage_by_length(argv, traces):
+    """``cyclic_garbage`` of ``argv``, its placeholders filled from each of ``traces``."""
+    runs = [[arg.format(**files) for arg in argv] for files in traces]
+    cyclic_garbage(runs[0])  # a first run may import modules
+    return [cyclic_garbage(run) for run in runs]
+
+
+# every trace subcommand, with placeholders for trace_files' files
+GARBAGE_ARGVS = [
+    *(
+        [command, *options, "--format", fmt, "{trace}"]
+        for command, options in [
+            ("map", []),
+            ("ack", []),
+            ("rcvwindow", ["--rcv-buffer", "8"]),
+            ("episodes", []),
+        ]
+        for fmt in ("text", "json", "csv")
+    ),
+    ["sus", "{trace}"],
+    ["rd", "--dt", "inf", "{trace}"],
+    ["rd", "--dt", "3", "{trace}"],
+    ["equiv", "{trace}", "{other}"],
+    ["reconstruct", "{series}"],
+]
+
+
+class TestCyclicGarbage:
+    """A run leaves no more cyclic garbage on a long trace than on a short one.
+
+    So the collector that ``run`` switches off would find nothing that grows
+    with the input.
+    """
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("garbage")
+        return [trace_files(directory, n) for n in (10, 10**5)]
+
+    @pytest.mark.parametrize("argv", GARBAGE_ARGVS, ids=" ".join)
+    def test_same_at_10_and_10_to_the_5_ids(self, traces, argv):
+        short, long = garbage_by_length(argv, traces)
+        assert long == short
+
+
 # (argv, exit code, stdout) of TestExactOutput
 EXACT_CASES = [
     (["ack", "--format", "json", "4 3 2 1"], EXIT_OK, '{"values":[1,1,1,5]}\n'),
@@ -560,6 +693,13 @@ EXACT_CASES = [
         "position,id\n1,4\n2,2\n3,3\n4,1\n",
     ),
     (["reconstruct", "--format", "csv", "1"], EXIT_NEGATIVE, "position,id\n"),
+    # empty traces: blocks with no rows, which the block formatter gets as no columns
+    (["rd", "", "--dt", "inf"], EXIT_OK, ""),
+    (["rd", "", "--dt", "3", "--format", "csv"], EXIT_OK, "displacement,count,total\n"),
+    (["episodes", "", "--format", "text"], EXIT_OK, "pivots\npivot-packets\n"),
+    (["episodes", "", "--format", "csv"], EXIT_OK, "position,id,state,pivot\n"),
+    # identities run at their guard, n = MAX_IDENTITY_N
+    (["verify", "--n", "7"], EXIT_OK, "theorem pass\nidentities pass\n"),
     (
         ["verify", "--n", "5", "--format", "csv"],
         EXIT_OK,

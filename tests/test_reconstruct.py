@@ -21,6 +21,19 @@ from reorderlab.reconstruct import _candidate
 from _oracles import interleave_runs, oracle_reconstruct_trace
 
 
+def _local_swaps(n):
+    """1..n after a drawn list of swaps, each of two IDs at most three places apart."""
+
+    def swapped(moves):
+        ids = list(range(1, n + 1))
+        for i, d in moves:
+            j = min(i + d, n - 1)
+            ids[i], ids[j] = ids[j], ids[i]
+        return ids
+
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)), max_size=n).map(swapped)
+
+
 class TestExamples:
     def test_reverse_image(self):
         assert reconstruct((4, 4, 4, 0)) == (4, 2, 3, 1)
@@ -66,6 +79,22 @@ class TestRoundTrip:
         for _ in range(100):
             perm = interleave_runs(60, 3, rng)
             assert reconstruct(buffer_sizes(perm)) == perm
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 200).flatmap(lambda n: st.permutations(range(1, n + 1))),
+            st.integers(1, 200).flatmap(_local_swaps),
+        )
+    )
+    def test_every_series_has_a_low_disorder_preimage(self, p):
+        # the paper proves at most one SUS<=3 preimage; this checks that there
+        # is one for any permutation, of any SUS
+        m = buffer_sizes(p)
+        got = reconstruct(m)
+        assert got is not None
+        assert sorted(got) == list(range(1, len(p) + 1))
+        assert buffer_sizes(got) == m
 
 
 class TestSoundness:
