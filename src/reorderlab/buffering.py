@@ -173,14 +173,51 @@ def ack_sequence(ids: Iterable[int]) -> tuple[int, ...]:
     return tuple(map(add, receiver_pass(ids)[1], repeat(1)))
 
 
+def _equivalences(a: Sequence[int], b: Sequence[int]) -> tuple[bool, bool]:
+    """Whether two traces have equal buffer series and equal ACK series.
+
+    Two receivers are fed the same slices of the traces, each twice as long
+    as the last, and stop once both answers are False; the rest of each trace
+    is then only validated.  Errors are those of ``receiver_pass(a)``
+    followed by ``receiver_pass(b)``.  The traces are sliced, not copied.
+    """
+    n = len(a)
+    fb = behavioral = n == len(b)
+    state_a, state_b = ReceiverState(), ReceiverState()
+    start = 0
+    try:
+        while start < n and (fb or behavioral):
+            end = 2 * start + 1
+            sizes_a, uploads_a = state_a.feed(a[start:end])
+            sizes_b, uploads_b = state_b.feed(b[start:end])
+            fb = fb and sizes_a == sizes_b
+            behavioral = behavioral and uploads_a == uploads_b
+            start = end
+    except InvalidSequenceError:
+        check_ids(a)  # an error in a, even one past b's, comes first
+        raise
+    if start < max(n, len(b)):  # the receivers stopped before the end of a trace
+        check_ids(a)
+        check_ids(b)
+    return fb, behavioral
+
+
 def fb_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
-    """True when two traces produce identical buffer-size series."""
-    return receiver_pass(a)[0] == receiver_pass(b)[0]
+    """True when two traces produce identical buffer-size series.
+
+    Both traces are validated in full, ``a`` first, but the receivers stop
+    once the buffer and the ACK series are both known to differ.
+    """
+    return _equivalences(tuple(a), tuple(b))[0]
 
 
 def behaviorally_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
-    """True when two traces produce identical ACK series."""
-    return receiver_pass(a)[1] == receiver_pass(b)[1]
+    """True when two traces produce identical ACK series.
+
+    Both traces are validated in full, ``a`` first, but the receivers stop
+    once the buffer and the ACK series are both known to differ.
+    """
+    return _equivalences(tuple(a), tuple(b))[1]
 
 
 def ack_from_buffer(values: Sequence[int]) -> tuple[int, ...]:

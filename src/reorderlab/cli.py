@@ -38,7 +38,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .buffering import ack_sequence, buffer_sizes, receiver_pass, segment_episodes
+from .buffering import _equivalences, ack_sequence, buffer_sizes, segment_episodes
 from .disorder import sus_partition
 from .errors import CapacityExceededError, InvalidParameterError, ReorderError
 from .metrics import (
@@ -242,10 +242,7 @@ def cmd_equiv(args: argparse.Namespace) -> Report:
     if args.trace_a == args.trace_b == "-":
         raise InvalidParameterError("at most one trace can come from standard input")
     a, b = resolve_trace([args.trace_a]), resolve_trace([args.trace_b])
-    sizes_a, uploads_a = receiver_pass(a)
-    sizes_b, uploads_b = receiver_pass(b)
-    fb = sizes_a == sizes_b
-    beh = uploads_a == uploads_b
+    fb, beh = _equivalences(a, b)
     lines = (f"fb-equivalent {_flag(fb)}\n", f"behaviorally-equivalent {_flag(beh)}\n")
     return Report(
         lambda: lines,

@@ -21,6 +21,7 @@ from reorderlab import (
     ReconstructionTrace,
     buffer_sizes,
 )
+from reorderlab.buffering import receiver_pass
 from reorderlab.cli import (
     TraceParseError,
     _dt_value,
@@ -182,6 +183,12 @@ def oracle_ack(ids):
             upload += 1
         out.append(upload + 1)
     return tuple(out)
+
+
+def oracle_equivalences(a, b):
+    """``(fb, behavioral)`` from two full receiver passes, compared after both end."""
+    (sizes_a, uploads_a), (sizes_b, uploads_b) = receiver_pass(a), receiver_pass(b)
+    return sizes_a == sizes_b, uploads_a == uploads_b
 
 
 def oracle_classes(n):

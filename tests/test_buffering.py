@@ -1,8 +1,10 @@
 """Buffer-size mapping, ACK derivation, equivalence, and episodes."""
 
+import io
 import random
 import tracemalloc
-from itertools import permutations
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +30,8 @@ from reorderlab import (
     sus,
     sus_partition,
 )
-from reorderlab.buffering import check_buffer_values, receiver_pass
+from reorderlab.buffering import _equivalences, check_buffer_values, receiver_pass
+from reorderlab.cli import EXIT_INPUT, main
 
 from _oracles import (
     OracleReceiverState,
@@ -37,6 +40,7 @@ from _oracles import (
     oracle_check_ids,
     oracle_check_permutation,
     oracle_episodes,
+    oracle_equivalences,
     oracle_m,
 )
 
@@ -345,6 +349,206 @@ class TestEquivalence:
         for members in by_m.values():
             acks = {ack_sequence(p) for p in members}
             assert len(acks) == 1
+
+
+def _swapped(ids, k):
+    """``ids`` with the IDs at 1-based positions k and k + 1 exchanged."""
+    out = list(ids)
+    out[k - 1], out[k] = out[k], out[k - 1]
+    return tuple(out)
+
+
+def _ack_only_pair(m, tail):
+    """Two traces with one ACK series whose buffer series differ at position m + 1."""
+    head, rest = tuple(range(1, m + 1)), tuple(range(m + 5, m + 5 + tail))
+    return (*head, m + 2, m + 4, m + 1, m + 3, *rest), (*head, m + 4, m + 2, m + 1, m + 3, *rest)
+
+
+# both sides of every boundary between the lockstep receivers' chunks 1, 2, 4, ...
+SWAP_POSITIONS = (1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 65)
+
+
+@st.composite
+def equivalence_pairs(draw):
+    """Equal traces, one adjacent swap, unrelated traces, or one ACK series."""
+    kind = draw(st.sampled_from(["equal", "swap", "unrelated", "ack-only"]))
+    if kind == "equal":
+        ids = draw(permutation_strategy | idseq_strategy)
+        return ids, ids
+    if kind == "swap":
+        k = draw(st.sampled_from(SWAP_POSITIONS))
+        n = draw(st.integers(k + 1, k + 40))
+        ids = draw(
+            st.just(tuple(range(1, n + 1)))
+            | st.permutations(range(1, n + 1)).map(tuple)
+            | st.lists(st.integers(1, 3 * n), unique=True, min_size=n, max_size=n).map(tuple)
+        )
+        return ids, _swapped(ids, k)
+    if kind == "unrelated":  # unequal lengths, empty traces, gapped IDs
+        return draw(idseq_strategy), draw(idseq_strategy | permutation_strategy)
+    m, tail = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    a, b = _ack_only_pair(m, tail)
+    if tail >= 2 and draw(st.booleans()):  # the ACK series differ later, or not
+        b = _swapped(b, m + 4 + draw(st.integers(1, tail - 1)))
+    return a, b
+
+
+def _equiv_cli(a, b, fmt):
+    """(exit code, stdout, stderr) of ``reorderlab equiv`` on two traces."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["equiv", "--format", fmt, " ".join(map(str, a)), " ".join(map(str, b))])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _equiv_output(fb, beh, fmt):
+    """What ``equiv`` prints for two answers, and its exit code."""
+    word = {True: "true", False: "false"}
+    out = {
+        "text": f"fb-equivalent {word[fb]}\nbehaviorally-equivalent {word[beh]}\n",
+        "json": f'{{"behaviorally_equivalent":{word[beh]},"fb_equivalent":{word[fb]}}}\n',
+        "csv": f"predicate,value\nfb-equivalent,{word[fb]}\nbehaviorally-equivalent,{word[beh]}\n",
+    }[fmt]
+    return 0 if fb else 1, out, ""
+
+
+class TestEquivalences:
+    """``_equivalences`` and its callers against two full receiver passes."""
+
+    @given(equivalence_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example(((2, 4, 1, 3), (4, 2, 1, 3)))
+    @example(((), ()))
+    @example(((), (1,)))
+    @example(_ack_only_pair(70, 70))
+    def test_matches_two_full_passes(self, pair):
+        a, b = pair
+        fb, beh = oracle_equivalences(a, b)
+        assert _equivalences(a, b) == _equivalences(list(a), list(b)) == (fb, beh)
+        assert fb_equivalent(iter(a), iter(b)) is fb
+        assert behaviorally_equivalent(iter(a), iter(b)) is beh
+        for fmt in ("text", "json", "csv"):
+            assert _equiv_cli(a, b, fmt) == _equiv_output(fb, beh, fmt)
+
+    def test_differences_at_every_chunk_boundary(self):
+        for k in SWAP_POSITIONS:
+            ids = tuple(range(1, 100))
+            assert _equivalences(ids, _swapped(ids, k)) == (False, False)
+            a, b = _ack_only_pair(k - 1, 99)
+            assert _equivalences(a, b) == (False, True)
+            assert _equivalences(a, _swapped(b, k + 90)) == (False, False)
+
+
+@st.composite
+def pairs_with_bad_ids(draw):
+    """An in-order trace and a copy swapped at d, with bad IDs in one or both."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, n - 1))  # the first difference
+    traces = [list(range(1, n + 1)), list(_swapped(range(1, n + 1), d))]
+    for i in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+        pos = draw(st.integers(0, n - 1))  # before or after d
+        bad = draw(st.sampled_from([0, -1, True, 1.5, "3", "duplicate", "int subclass"]))
+        if bad == "duplicate":
+            bad = traces[i][draw(st.integers(0, n - 1).filter(lambda j: j != pos))]
+        elif bad == "int subclass":
+            bad = _IntId(traces[i][pos])  # valid
+        traces[i][pos] = bad
+    return tuple(traces[0]), tuple(traces[1])
+
+
+class TestEquivalenceErrors:
+    """Errors are those of ``receiver_pass(a)`` followed by ``receiver_pass(b)``.
+
+    ``_outcome`` catches ``InvalidSequenceError`` alone, which has no
+    subclass, so an error of any other type fails the test.
+    """
+
+    @given(pairs_with_bad_ids())
+    @settings(max_examples=400, deadline=None)
+    @example(((1, 2, 3, 0), (2, 1, 1, 4)))  # a's error lies past b's and past the cut
+    @example(((1, 2, 3, 4), (2, 1, 3, 3)))
+    @example(((1, _IntId(2), 3), (2, 1, _IntId(3))))
+    def test_library(self, pair):
+        expected = _outcome(oracle_equivalences, *pair)
+        assert _outcome(_equivalences, *pair) == expected
+        for i, fn in enumerate((fb_equivalent, behaviorally_equivalent)):
+            answer = expected if expected[0] == "error" else ("ok", expected[1][i])
+            assert _outcome(fn, *pair) == answer
+
+    @given(pairs_with_bad_ids().filter(lambda pair: set(map(type, chain(*pair))) == {int}))
+    @settings(max_examples=100, deadline=None)
+    @example(((1, 2, 3, 0), (2, 1, 1, 4)))
+    def test_cli(self, pair):
+        outcome = _outcome(oracle_equivalences, *pair)
+        for fmt in ("text", "json", "csv"):
+            if outcome[0] == "ok":
+                assert _equiv_cli(*pair, fmt) == _equiv_output(*outcome[1], fmt)
+            else:
+                assert _equiv_cli(*pair, fmt) == (EXIT_INPUT, "", f"error: {outcome[1]}\n")
+
+
+def _feed_spy(monkeypatch):
+    """The chunk lengths ``ReceiverState.feed`` is given, per receiver, in call order."""
+    chunks = {}
+    feed = ReceiverState.feed
+
+    def spy(self, ids):
+        chunks.setdefault(id(self), []).append(len(ids))
+        return feed(self, ids)
+
+    monkeypatch.setattr(ReceiverState, "feed", spy)
+    return chunks
+
+
+def _check_ids_spy(monkeypatch):
+    """The length of each trace ``_equivalences`` validates after its receivers stop."""
+    lengths = []
+    check = check_ids
+
+    def spy(ids):
+        lengths.append(len(ids))
+        return check(ids)
+
+    monkeypatch.setattr("reorderlab.buffering.check_ids", spy)
+    return lengths
+
+
+class TestEquivalenceWork:
+    """How much of each trace the lockstep receivers are fed."""
+
+    def test_stops_after_one_id_when_both_series_differ(self, monkeypatch):
+        n = 10**5
+        a, b = tuple(range(1, n + 1)), _swapped(range(1, n + 1), 1)
+        chunks, validated = _feed_spy(monkeypatch), _check_ids_spy(monkeypatch)
+        assert _equivalences(a, b) == (False, False)
+        assert list(chunks.values()) == [[1], [1]]
+        assert validated == [n, n]
+
+    def test_runs_on_while_the_ack_series_agree(self, monkeypatch):
+        a, b = _ack_only_pair(0, 10**5 - 4)
+        chunks, validated = _feed_spy(monkeypatch), _check_ids_spy(monkeypatch)
+        assert _equivalences(a, b) == (False, True)
+        assert [sum(c) for c in chunks.values()] == [10**5, 10**5]
+        assert validated == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 63, 64, 10**5])
+    def test_equal_traces_feed_each_id_once(self, monkeypatch, n):
+        ids = tuple(range(1, n + 1))
+        chunks, validated = _feed_spy(monkeypatch), _check_ids_spy(monkeypatch)
+        assert _equivalences(ids, ids) == (True, True)
+        assert len(chunks) == (2 if n else 0)
+        for lengths in chunks.values():
+            assert sum(lengths) == n
+            assert len(lengths) == n.bit_length()  # ceil(log2(n + 1))
+            assert lengths[:-1] == [2**i for i in range(len(lengths) - 1)]
+        assert validated == []
+
+    def test_unequal_lengths_feed_nothing(self, monkeypatch):
+        chunks, validated = _feed_spy(monkeypatch), _check_ids_spy(monkeypatch)
+        assert _equivalences((1, 2, 3), (1, 2)) == (False, False)
+        assert _equivalences((), (1,)) == (False, False)
+        assert chunks == {}
+        assert validated == [3, 2, 0, 1]
 
 
 class TestAckFromBuffer:
