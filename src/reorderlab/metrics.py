@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import count, permutations, repeat
+from itertools import count, repeat
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .buffering import buffer_sizes, check_permutation
 from .errors import CapacityExceededError, InvalidParameterError
-from .oracle import MAX_ENUMERATION_N, _check_n, _series_of
+from .oracle import MAX_ENUMERATION_N, _check_n, _sweep
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -111,7 +111,7 @@ def consistency_counterexample(
     """
     _check_n(n, MAX_ENUMERATION_N)
     first: dict[tuple[int, ...], tuple[tuple[int, ...], object]] = {}
-    for perm, key in zip(permutations(range(1, n + 1)), _series_of(n), strict=True):
+    for perm, key, _ in _sweep(n):
         value = metric(perm)
         earlier, earlier_value = first.setdefault(key, (perm, value))
         # never compare the first member's value with itself: nan != nan

@@ -47,39 +47,33 @@ def _patience_nodes(n: int) -> list[list]:
     return nodes
 
 
-def _series_of(n: int) -> Iterator[tuple[int, ...]]:
-    """Buffer series of the permutations of 1..n, in lexicographic order.
+def _sweep(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every permutation of 1..n in lexicographic order, with its buffer series and SUS.
 
-    Each is a head of n // 2 IDs, in ``permutations(ids, n // 2)``'s order, then each of its
-    tails in order.  A tail's steps depend only on its head's set, so they are built once per set.
+    Each is a head of n // 2 IDs, in ``permutations(ids, n // 2)``'s order, then each of
+    its tails in order.  A tail's series steps depend only on its head's set, so the tails
+    and their steps are built once per set.  The SUS is ``node[0]`` at the
+    ``_patience_nodes`` node the IDs lead to from the root, so the tails' SUS are counted
+    once per node the head reaches and set of head IDs.
     """
     lookup, flag = _received_sets(n).__getitem__, [0, *(1 << v for v in range(n))].__getitem__
 
     def series(perm: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(lookup, accumulate(map(flag, perm), or_)))
 
-    ids, tails_of = range(1, n + 1), {}
+    ids, root, tails_of, counts_of = range(1, n + 1), _patience_nodes(n)[0], {}, {}
     for head in permutations(ids, n // 2):
         if (received := frozenset(head)) not in tails_of:
-            rest = permutations(v for v in ids if v not in received)
-            tails_of[received] = [series(head + tail)[n // 2 :] for tail in rest]
-        yield from map(add, repeat(series(head)), tails_of[received])
-
-
-def _sus_of(n: int) -> Iterator[int]:
-    """SUS of the permutations of 1..n, split and ordered as in ``_series_of``.
-
-    It is ``node[0]`` at the ``_patience_nodes`` node the IDs lead to from the
-    root, so the tails' SUS are counted once per node reached and set of head IDs.
-    """
-    root, counts_of = _patience_nodes(n)[0], {}
-    for head in permutations(range(1, n + 1), n // 2):
+            tails = list(permutations(v for v in ids if v not in received))
+            tails_of[received] = tails, [series(head + tail)[n // 2 :] for tail in tails]
+        tails, steps = tails_of[received]
         node = reduce(getitem, head, root)
         # every node lives as long as the root, so its id names it
-        if (key := (id(node), frozenset(head))) not in counts_of:
-            rest = permutations(v for v in range(1, n + 1) if v not in head)
-            counts_of[key] = [reduce(getitem, tail, node)[0] for tail in rest]
-        yield from counts_of[key]
+        if (key := (id(node), received)) not in counts_of:
+            counts_of[key] = [reduce(getitem, tail, node)[0] for tail in tails]
+        yield from zip(
+            map(add, repeat(head), tails), map(add, repeat(series(head)), steps), counts_of[key]
+        )
 
 
 class EquivalenceClassReport(NamedTuple):
@@ -111,7 +105,7 @@ def enumerate_classes(n: int) -> EquivalenceClassReport:
     _check_n(n, MAX_ENUMERATION_N)
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     low: list[tuple[int, ...]] = []  # the class of each SUS<=3 member
-    for perm, key, u in zip(permutations(range(1, n + 1)), _series_of(n), _sus_of(n), strict=True):
+    for perm, key, u in _sweep(n):
         classes.setdefault(key, []).append(perm)
         if u <= MAX_SUS:
             low.append(key)
@@ -136,7 +130,7 @@ def verify_theorem(n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """
     _check_n(n, MAX_ENUMERATION_N)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for perm, key, u in zip(permutations(range(1, n + 1)), _series_of(n), _sus_of(n), strict=True):
+    for perm, key, u in _sweep(n):
         # the patience table filters, and sus cross-checks its SUS<=3 members:
         # perfbench counts these calls, each returning <=3, against A005802(n)
         if u > MAX_SUS or sus(perm) > MAX_SUS:

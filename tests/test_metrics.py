@@ -4,8 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, islice, permutations
-from math import factorial
+from itertools import permutations
 from operator import itemgetter
 
 import pytest
@@ -24,7 +23,6 @@ from reorderlab import (
     rcv_window_series,
     reorder_density,
 )
-from reorderlab.oracle import _series_of
 
 from _oracles import oracle_consistency_counterexample, oracle_rcv_window, oracle_rd_counts
 
@@ -249,21 +247,6 @@ class TestConsistency:
         with pytest.raises(InvalidParameterError) as exc:
             consistency_counterexample(mean_buffer_size, 10)
         assert str(exc.value) == "n must be an integer in 1..9, got 10"
-
-    @pytest.mark.parametrize("n", [1, 5])
-    @pytest.mark.parametrize(
-        "wrong",
-        [
-            lambda n: islice(_series_of(n), factorial(n) - 1),
-            lambda n: chain(_series_of(n), islice(_series_of(n), 1)),
-        ],
-        ids=["one-short", "one-long"],
-    )
-    def test_raises_on_a_wrong_table_length(self, monkeypatch, wrong, n):
-        # a partial search would pass for a complete one
-        monkeypatch.setattr("reorderlab.metrics._series_of", wrong)
-        with pytest.raises(ValueError, match="zip"):
-            consistency_counterexample(mean_buffer_size, n)
 
 
 @cache

@@ -1,7 +1,7 @@
 """Exhaustive small-length enumeration and verification engine."""
 
 from functools import reduce
-from itertools import chain, combinations, islice, permutations, repeat
+from itertools import combinations, permutations
 from math import factorial
 from operator import getitem
 from random import Random
@@ -20,7 +20,7 @@ from reorderlab import (
     verify_theorem,
 )
 from reorderlab.buffering import receiver_pass
-from reorderlab.oracle import _patience_nodes, _received_sets, _series_of, _sus_of
+from reorderlab.oracle import _patience_nodes, _received_sets, _sweep
 
 from _oracles import OracleReceiverState, oracle_classes, oracle_m
 
@@ -30,7 +30,7 @@ class TestSeriesTable:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_kernel_and_prefix_oracle(self, n):
-        for perm, series in zip(permutations(range(1, n + 1)), _series_of(n), strict=True):
+        for perm, series, _ in _sweep(n):
             assert series == buffer_sizes(perm) == oracle_m(perm)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -53,7 +53,7 @@ class TestSeriesTable:
             if members:
                 reads.setdefault(tuple(members + rest), []).append((len(members) - 1, mask))
         checked = 0
-        for perm, series in zip(permutations(range(1, n + 1)), _series_of(n), strict=True):
+        for perm, series, _ in _sweep(n):
             for position, mask in reads.get(perm, ()):
                 assert series[position] == table[mask]
                 checked += 1
@@ -77,7 +77,7 @@ class TestSusTable:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_sus_and_bruteforce(self, n):
-        for perm, count in zip(permutations(range(1, n + 1)), _sus_of(n), strict=True):
+        for perm, _, count in _sweep(n):
             assert count == sus(perm) == lds_bruteforce(perm)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -100,7 +100,7 @@ class TestSusTable:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_sus3_count_is_a005802(self, n):
-        low = sum(1 for count in _sus_of(n) if count <= 3)
+        low = sum(1 for _, _, count in _sweep(n) if count <= 3)
         assert low == A005802[n - 1]
 
 
@@ -175,32 +175,12 @@ class TestCompleteness:
         assert low == [1] * A005802[n - 1]
 
 
-def _one_short(table):
-    return lambda n: islice(table(n), factorial(n) - 1)
-
-
-def _one_long(table):
-    return lambda n: chain(table(n), islice(table(n), 1))
-
-
-class TestTableLength:
-    """The tables give one value per permutation, and the engines check it."""
+class TestSweepOrder:
+    """The sweep yields all of S_n, each permutation once, in lexicographic order."""
 
     @pytest.mark.parametrize("n", range(1, 10))
-    @pytest.mark.parametrize("table", [_series_of, _sus_of])
-    def test_one_value_per_permutation(self, table, n):
-        assert sum(1 for _ in table(n)) == factorial(n)
-
-    @pytest.mark.parametrize("n", [1, 5])
-    @pytest.mark.parametrize("wrong", [_one_short, _one_long])
-    @pytest.mark.parametrize("table", [_series_of, _sus_of])
-    def test_engines_raise_on_a_wrong_length(self, monkeypatch, table, wrong, n):
-        # a partial result would pass for a complete one
-        monkeypatch.setattr(f"reorderlab.oracle.{table.__name__}", wrong(table))
-        with pytest.raises(ValueError, match="zip"):
-            enumerate_classes(n)
-        with pytest.raises(ValueError, match="zip"):
-            verify_theorem(n)
+    def test_is_permutations(self, n):
+        assert [perm for perm, _, _ in _sweep(n)] == list(permutations(range(1, n + 1)))
 
 
 class TestVerifyTheorem:
@@ -254,6 +234,11 @@ def _sizes_off_by_one(perm):
     return [m + 1 for m in sizes], uploads
 
 
+def _sus_one(n):
+    """The sweep with every SUS reported as 1."""
+    return ((perm, series, 1) for perm, series, _ in _sweep(n))
+
+
 class TestWitnessBranches:
     """A wrong engine part makes each engine report its witness."""
 
@@ -272,7 +257,7 @@ class TestWitnessBranches:
 
     def test_theorem_and_classes(self, monkeypatch):
         monkeypatch.setattr("reorderlab.oracle.sus", lambda perm: 1)
-        monkeypatch.setattr("reorderlab.oracle._sus_of", lambda n: repeat(1, factorial(n)))
+        monkeypatch.setattr("reorderlab.oracle._sweep", _sus_one)
         for n in (4, 5):
             series = {p: oracle_m(p) for p in permutations(range(1, n + 1))}
             # the pair found first ends at the earliest permutation sharing a
@@ -287,7 +272,7 @@ class TestWitnessBranches:
 
     @pytest.mark.parametrize(
         "name, wrong",
-        [("_sus_of", lambda n: repeat(1, factorial(n))), ("sus", lambda perm: 1)],
+        [("_sweep", _sus_one), ("sus", lambda perm: 1)],
     )
     def test_theorem_either_filter_alone(self, monkeypatch, name, wrong):
         # the patience table and sus each keep the SUS>=4 members out
