@@ -183,6 +183,25 @@ class TestSweepOrder:
         assert [perm for perm, _, _ in _sweep(n)] == list(permutations(range(1, n + 1)))
 
 
+def _series_of(n):
+    """The sweep's buffer series column."""
+    return (series for _, series, _ in _sweep(n))
+
+
+def _sus_of(n):
+    """The sweep's SUS column."""
+    return (count for _, _, count in _sweep(n))
+
+
+class TestTableLength:
+    """The series and SUS tables give one value per permutation."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("table", [_series_of, _sus_of])
+    def test_one_value_per_permutation(self, table, n):
+        assert sum(1 for _ in table(n)) == factorial(n)
+
+
 class TestVerifyTheorem:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passes(self, n):
