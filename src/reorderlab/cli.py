@@ -8,7 +8,9 @@ are always inline, even when a file of that name exists.
 
 ``COMMANDS`` declares each subcommand once: its handler, its help and its
 arguments.  ``main`` alone maps errors to exit codes.  ``run``, the process
-entry point, switches the cyclic garbage collector off; ``main`` leaves it be.
+entry point, switches the cyclic garbage collector off and, on the way out,
+freezes every tracked object, so the collection at interpreter shutdown has
+nothing to scan; ``main`` leaves the collector be.
 
 Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
 alone reads ``--format`` and writes results to standard output.  Text and
@@ -24,7 +26,9 @@ metric, failed verification, traces not equivalent, buffer overflow);
 2 malformed input or bad parameters, including a trace file that cannot be
 read or is not UTF-8 and ``equiv`` given ``-`` for both traces; 141 standard
 output closed before all of it was written (as a shell reports a tool
-killed by SIGPIPE), with nothing printed to standard error.
+killed by SIGPIPE), with nothing printed to standard error.  An error message
+that standard error cannot take (closed, or a pipe with no reader) is dropped,
+and the exit code stays the error's own.
 """
 
 from __future__ import annotations
@@ -400,7 +404,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             render(report, args.format)
             return report.code
         except ReorderError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            try:
+                sys.stderr.write(f"error: {exc}\n")
+            except (AttributeError, OSError):  # closed or unwritable: drop it, as argparse does
+                pass
             return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
         finally:
             sys.stdout.flush()
@@ -417,4 +424,7 @@ def run() -> None:
     import gc
 
     gc.disable()  # the run makes no input-sized cycles; a collection would only rescan its lists
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()  # the collection at interpreter shutdown then has nothing to scan

@@ -476,6 +476,41 @@ class TestClosedStdout:
         assert proc.returncode == EXIT_PIPE
 
 
+class TestUnwritableStderr:
+    """An error message that standard error cannot take is dropped; the exit code stays."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(argv, code, id=" ".join(argv))
+            for argv, code in [
+                (["map", "1", "2", "2"], EXIT_INPUT),
+                (["map", "x"], EXIT_INPUT),
+                (["rcvwindow", "--rcv-buffer", "1", "3", "1", "2"], EXIT_NEGATIVE),
+            ]
+        ],
+    )
+    @pytest.mark.parametrize("stderr", ["closed", "read-only", "no reader"])
+    def test_exit_code_kept(self, argv, code, stderr):
+        src = Path(__file__).resolve().parent.parent / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # a pipe with no reader
+        try:
+            with open(os.devnull, "rb") as read_only:
+                target = {"closed": None, "read-only": read_only, "no reader": write_end}[stderr]
+                proc = subprocess.run(
+                    [sys.executable, "-m", "reorderlab", *argv],
+                    stdout=subprocess.PIPE,
+                    stderr=target,
+                    preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+                    env={**os.environ, "PYTHONPATH": str(src)},
+                    timeout=60,
+                )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+
+
 # Runs commands one after another in one interpreter and prints, after each,
 # the modules loaded since just before the package was imported.
 IMPORT_PROBE = """
@@ -524,29 +559,48 @@ class TestImportHygiene:
         }
 
 
-# Runs ``python -m reorderlab map 4 3 2 1`` and reports at exit whether the
-# cyclic garbage collector is on.
+# Runs ``python -m reorderlab`` with the probe's own arguments and reports at
+# exit whether the cyclic garbage collector is on and whether any tracked
+# object was frozen out of the shutdown collection's reach.
 COLLECTOR_PROBE = """
 import atexit, gc, runpy, sys
-atexit.register(lambda: print(gc.isenabled(), file=sys.stderr))
-sys.argv = ["reorderlab", "map", "4", "3", "2", "1"]
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["reorderlab", *sys.argv[1:]]
 runpy.run_module("reorderlab", run_name="__main__", alter_sys=True)
 """
 
 
+def collector_probe(*argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", COLLECTOR_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+
+
 class TestCollectorPolicy:
-    """The process entry point switches the cyclic collector off; ``main`` leaves it be."""
+    """The process entry point switches the cyclic collector off and freezes on every exit.
+
+    ``main`` leaves the collector be.
+    """
 
     def test_process_runs_without_collector(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", COLLECTOR_PROBE],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "4\n4\n4\n0\n", "False\n")
+        proc = collector_probe("map", "4", "3", "2", "1")
+        expected = (EXIT_OK, "4\n4\n4\n0\n", "False True\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+    def test_usage_error_exit_freezes_too(self):
+        proc = collector_probe("map")
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+        assert proc.stderr.endswith("the following arguments are required: trace\nFalse True\n")
+
+    def test_help_exit_freezes_too(self):
+        proc = collector_probe("-h")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "False True\n")
+        assert proc.stdout.startswith("usage: reorderlab ")
 
     @pytest.mark.parametrize("argv", [["map", "4 3 2 1"], ["map", "x"], ["map"]], ids=" ".join)
     @pytest.mark.parametrize("enabled", [True, False])
