@@ -15,6 +15,7 @@ ID sequence need not be a permutation of 1..n.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import suppress
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, ne
 from typing import Iterable, NamedTuple, Sequence
@@ -54,18 +55,14 @@ def check_permutation(ids: Iterable[int]) -> tuple[int, ...]:
     """Validate that ``ids`` is a permutation of 1..n.
 
     Distinct positive IDs form a permutation of 1..n exactly when none
-    exceeds n; the loop runs only to name the first one that does.
+    exceeds n; the scan runs only to name the first one that does.
     """
     out = check_ids(ids)
     n = len(out)
-    if not out or max(out) <= n:
-        return out
-    for pos, v in enumerate(out, start=1):
-        if v > n:
-            raise InvalidSequenceError(
-                f"not a permutation of 1..{n}: ID {v} at position {pos}",
-                position=pos,
-            )
+    if out and max(out) > n:
+        pos, v = next((pos, v) for pos, v in enumerate(out, start=1) if v > n)
+        message = f"not a permutation of 1..{n}: ID {v} at position {pos}"
+        raise InvalidSequenceError(message, position=pos)
     return out
 
 
@@ -185,7 +182,7 @@ def _equivalences(a: Sequence[int], b: Sequence[int]) -> tuple[bool, bool]:
     fb = behavioral = n == len(b)
     state_a, state_b = ReceiverState(), ReceiverState()
     start = 0
-    try:
+    with suppress(InvalidSequenceError):  # raised again below, after any earlier error in a
         while start < n and (fb or behavioral):
             end = 2 * start + 1
             sizes_a, uploads_a = state_a.feed(a[start:end])
@@ -193,9 +190,6 @@ def _equivalences(a: Sequence[int], b: Sequence[int]) -> tuple[bool, bool]:
             fb = fb and sizes_a == sizes_b
             behavioral = behavioral and uploads_a == uploads_b
             start = end
-    except InvalidSequenceError:
-        check_ids(a)  # an error in a, even one past b's, comes first
-        raise
     if start < max(n, len(b)):  # the receivers stopped before the end of a trace
         check_ids(a)
         check_ids(b)

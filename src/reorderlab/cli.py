@@ -26,9 +26,9 @@ metric, failed verification, traces not equivalent, buffer overflow);
 2 malformed input or bad parameters, including a trace file that cannot be
 read or is not UTF-8 and ``equiv`` given ``-`` for both traces; 141 standard
 output closed before all of it was written (as a shell reports a tool
-killed by SIGPIPE), with nothing printed to standard error.  An error message
-that standard error cannot take (closed, or a pipe with no reader) is dropped,
-and the exit code stays the error's own.
+killed by SIGPIPE), with nothing printed to standard error.  An error message,
+usage errors included, that standard error cannot take (closed, or a pipe with
+no reader) is dropped, and the exit code stays the error's own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import sys
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .buffering import _equivalences, ack_sequence, buffer_sizes, segment_episodes
 from .disorder import sus_partition
@@ -103,14 +103,13 @@ def resolve_trace(tokens: Sequence[str]) -> list[int]:
     return parse_trace(text, path)
 
 
-def _first_non_integer(tokens: Iterable[str]) -> str | None:
+def _first_non_integer(tokens: Iterable[str]) -> str:
     """The first token ``int`` rejects: the error path of a whole-text parse."""
     for token in tokens:
         try:
             int(token)
         except ValueError:
             return token
-    return None
 
 
 def _shown(token: str) -> str:
@@ -382,8 +381,24 @@ COMMANDS = {
 }
 
 
+def _warn(text: str) -> None:
+    """Write ``text`` to standard error, or drop it if standard error cannot take it."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):  # closed (None) or unwritable
+        pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes usage errors as ``main`` writes its own: to standard error, or nowhere."""
+
+    def error(self, message: str) -> NoReturn:
+        _warn(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reorderlab",
         description="Analyze packet-ID traces through receiver buffer dynamics.",
     )
@@ -404,10 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             render(report, args.format)
             return report.code
         except ReorderError as exc:
-            try:
-                sys.stderr.write(f"error: {exc}\n")
-            except (AttributeError, OSError):  # closed or unwritable: drop it, as argparse does
-                pass
+            _warn(f"error: {exc}\n")
             return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
         finally:
             sys.stdout.flush()

@@ -475,6 +475,16 @@ class TestEquivalenceErrors:
             answer = expected if expected[0] == "error" else ("ok", expected[1][i])
             assert _outcome(fn, *pair) == answer
 
+    @pytest.mark.parametrize("fn", [_equivalences, fb_equivalent, behaviorally_equivalent])
+    def test_error_found_by_the_receivers_is_raised_once(self, fn):
+        with pytest.raises(InvalidSequenceError) as info:
+            fn([1, None], [1, 2])
+        assert (str(info.value), info.value.position) == (
+            "packet ID at position 2 must be a positive integer, got None",
+            2,
+        )
+        assert info.value.__context__ is None
+
     @given(pairs_with_bad_ids().filter(lambda pair: set(map(type, chain(*pair))) == {int}))
     @settings(max_examples=100, deadline=None)
     @example(((1, 2, 3, 0), (2, 1, 1, 4)))

@@ -486,6 +486,7 @@ class TestUnwritableStderr:
             for argv, code in [
                 (["map", "1", "2", "2"], EXIT_INPUT),
                 (["map", "x"], EXIT_INPUT),
+                (["map"], EXIT_INPUT),  # a usage error, written by the parser
                 (["rcvwindow", "--rcv-buffer", "1", "3", "1", "2"], EXIT_NEGATIVE),
             ]
         ],
