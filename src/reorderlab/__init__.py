@@ -6,6 +6,12 @@ process: buffer-size series, cumulative ACKs, equivalence of traces,
 ordered/unordered episode segmentation, ascending-list disorder measures,
 reconstruction of low-disorder permutations from buffer series alone, and
 consistency probes for reordering metrics.
+
+The ``metrics`` and ``oracle`` exports load on first use (PEP 562), so a
+command-line run that needs neither does not import them; ``__all__`` and
+``dir()`` list them as before.  The other exports stay eager.  ``reconstruct``
+must: importing the ``reorderlab.reconstruct`` submodule binds the package's
+``reconstruct`` to the module, so a late import would replace the function.
 """
 
 from .buffering import (
@@ -30,24 +36,53 @@ from .errors import (
     InvalidSequenceError,
     ReorderError,
 )
-from .metrics import (
-    DisplacementDistribution,
-    RcvWindowSeries,
-    consistency_counterexample,
-    mean_buffer_size,
-    rcv_window_series,
-    reorder_density,
-)
-from .oracle import (
-    EquivalenceClassReport,
-    IdentityViolation,
-    enumerate_classes,
-    verify_identities,
-    verify_theorem,
-)
 from .reconstruct import MAX_SUS, ReconstructionTrace, reconstruct, reconstruct_trace
 
 __version__ = "0.1.0"
+
+# lazy export: defining module, or itself for the two submodules
+_LAZY = {
+    **dict.fromkeys(
+        [
+            "DisplacementDistribution",
+            "RcvWindowSeries",
+            "consistency_counterexample",
+            "mean_buffer_size",
+            "rcv_window_series",
+            "reorder_density",
+            "metrics",
+        ],
+        "metrics",
+    ),
+    **dict.fromkeys(
+        [
+            "EquivalenceClassReport",
+            "IdentityViolation",
+            "enumerate_classes",
+            "verify_identities",
+            "verify_theorem",
+            "oracle",
+        ],
+        "oracle",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import a lazy export's module on first use; the export is then a plain global."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")  # also binds the submodule's name here
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()).union(_LAZY).difference(["_LAZY", "__dir__", "__getattr__"]))
 
 __all__ = [
     "CapacityExceededError",

@@ -7,10 +7,13 @@ work), ``-`` for standard input, or a file path.  Arguments made of integers
 are always inline, even when a file of that name exists.
 
 ``COMMANDS`` declares each subcommand once: its handler, its help and its
-arguments.  ``main`` alone maps errors to exit codes.  ``run``, the process
-entry point, switches the cyclic garbage collector off and, on the way out,
-freezes every tracked object, so the collection at interpreter shutdown has
-nothing to scan; ``main`` leaves the collector be.
+arguments; the handlers that need ``metrics`` or ``oracle`` import them when
+they run, so other commands never load them.  ``main`` alone maps errors to
+exit codes.  ``run``, the process entry point, switches the cyclic garbage
+collector off, flushes standard output and error once ``main`` returns or
+argparse exits (usage errors, ``-h``), and ends the process with
+``os._exit``, skipping interpreter teardown and ``atexit`` hooks; any other
+exception propagates with its traceback.  ``main`` leaves the collector be.
 
 Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
 alone reads ``--format`` and writes results to standard output.  Text and
@@ -45,13 +48,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 from .buffering import _equivalences, ack_sequence, buffer_sizes, segment_episodes
 from .disorder import sus_partition
 from .errors import CapacityExceededError, InvalidParameterError, ReorderError
-from .metrics import (
-    consistency_counterexample,
-    mean_buffer_size,
-    rcv_window_series,
-    reorder_density,
-)
-from .oracle import MAX_IDENTITY_N, verify_identities, verify_theorem
 from .reconstruct import reconstruct
 
 EXIT_OK = 0
@@ -187,6 +183,8 @@ def cmd_ack(args: argparse.Namespace) -> Report:
 
 
 def cmd_rcvwindow(args: argparse.Namespace) -> Report:
+    from .metrics import rcv_window_series
+
     series = rcv_window_series(resolve_trace(args.trace), args.rcv_buffer)
     return _series(series.values)._replace(
         json=lambda: {"rcv_buffer": series.rcv_buffer, "values": series.values}
@@ -228,6 +226,8 @@ def cmd_episodes(args: argparse.Namespace) -> Report:
 
 
 def cmd_rd(args: argparse.Namespace) -> Report:
+    from .metrics import reorder_density
+
     dist = reorder_density(resolve_trace(args.trace), args.dt)
     counts = sorted(dist.counts.items(), key=itemgetter(0))
     return Report(
@@ -267,6 +267,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> Report:
 
 
 def cmd_verify(args: argparse.Namespace) -> Report:
+    from .oracle import MAX_IDENTITY_N, verify_identities, verify_theorem
+
     n = args.n
     theorem_witness = verify_theorem(n)
     skipped = n > MAX_IDENTITY_N
@@ -297,6 +299,8 @@ def cmd_verify(args: argparse.Namespace) -> Report:
 
 
 def cmd_consistency(args: argparse.Namespace) -> Report:
+    from .metrics import consistency_counterexample, mean_buffer_size, reorder_density
+
     if args.metric == "rd":
         if args.dt is None:
             raise InvalidParameterError("--metric rd requires --dt")
@@ -432,11 +436,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_PIPE
 
 
-def run() -> None:
+def run() -> NoReturn:
     import gc
 
     gc.disable()  # the run makes no input-sized cycles; a collection would only rescan its lists
     try:
-        raise SystemExit(main())
-    finally:
-        gc.freeze()  # the collection at interpreter shutdown then has nothing to scan
+        code = main()
+    except SystemExit as exc:  # argparse's exits, usage errors and -h, with an int status
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # closed (None) or unwritable, as in _warn
+            pass
+    os._exit(code)  # nothing is left to do, so skip interpreter teardown

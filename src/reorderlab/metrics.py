@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .buffering import buffer_sizes, check_permutation
 from .errors import CapacityExceededError, InvalidParameterError
-from .oracle import MAX_ENUMERATION_N, _check_n, _sweep
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -109,6 +108,8 @@ def consistency_counterexample(
     keeps each buffer class's first member and its value, and compares every
     later member with that value alone.
     """
+    from .oracle import MAX_ENUMERATION_N, _check_n, _sweep  # not loaded by rd and rcvwindow
+
     _check_n(n, MAX_ENUMERATION_N)
     first: dict[tuple[int, ...], tuple[tuple[int, ...], object]] = {}
     for perm, key, _ in _sweep(n):

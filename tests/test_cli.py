@@ -522,6 +522,8 @@ for name, argv in [
     ("text", ["map", "1"]),
     ("json", ["map", "--format", "json", "1"]),
     ("csv", ["map", "--format", "csv", "1"]),
+    ("rcvwindow", ["rcvwindow", "--rcv-buffer", "2", "1"]),
+    ("rd", ["rd", "--dt", "inf", "1"]),
     ("mean-buffer", ["consistency", "--metric", "mean-buffer", "--n", "3"]),
 ]:
     sys.stdout = io.StringIO()
@@ -531,50 +533,11 @@ for name, argv in [
 """
 
 
-class TestImportHygiene:
-    """A run loads only the standard-library modules its command and format use."""
-
-    HEAVY = {"dataclasses", "inspect", "json", "csv", "fractions", "decimal"}
-
-    def test_modules_added_per_command(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        # -S: no site start-up, so no site hook has loaded any of these already
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", IMPORT_PROBE],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
-        assert proc.stderr == ""
-        added = {}
-        for line in proc.stdout.splitlines():
-            name, code, *modules = line.split()
-            assert code == "0"
-            added[name] = self.HEAVY.intersection(modules)
-        assert added == {
-            "text": set(),
-            "json": {"json"},
-            "csv": {"json"},
-            "mean-buffer": {"json", "fractions", "decimal"},
-        }
-
-
-# Runs ``python -m reorderlab`` with the probe's own arguments and reports at
-# exit whether the cyclic garbage collector is on and whether any tracked
-# object was frozen out of the shutdown collection's reach.
-COLLECTOR_PROBE = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
-sys.argv = ["reorderlab", *sys.argv[1:]]
-runpy.run_module("reorderlab", run_name="__main__", alter_sys=True)
-"""
-
-
-def collector_probe(*argv):
+def bare_python(*args):
+    """Run ``python -S`` (no site start-up, so no site hook has loaded anything) on ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
-        [sys.executable, "-c", COLLECTOR_PROBE, *argv],
+        [sys.executable, "-S", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -582,26 +545,195 @@ def collector_probe(*argv):
     )
 
 
-class TestCollectorPolicy:
-    """The process entry point switches the cyclic collector off and freezes on every exit.
+class TestImportHygiene:
+    """A run loads only the package modules and standard-library modules its command uses."""
 
-    ``main`` leaves the collector be.
+    HEAVY = {"dataclasses", "inspect", "json", "csv", "fractions", "decimal"}
+    # what ``map 1`` loads: the package and the modules it imports eagerly
+    MAP = {
+        "reorderlab",
+        "reorderlab.buffering",
+        "reorderlab.cli",
+        "reorderlab.disorder",
+        "reorderlab.errors",
+        "reorderlab.reconstruct",
+    }
+
+    def test_modules_added_per_command(self):
+        proc = bare_python("-c", IMPORT_PROBE)
+        assert proc.stderr == ""
+        added = {}
+        for line in proc.stdout.splitlines():
+            name, code, *modules = line.split()
+            assert code == "0"
+            added[name] = {m for m in modules if m in self.HEAVY or m.startswith("reorderlab")}
+        metrics = {"json", "reorderlab.metrics", *self.MAP}
+        assert added == {
+            "text": self.MAP,
+            "json": {"json", *self.MAP},
+            "csv": {"json", *self.MAP},
+            "rcvwindow": metrics,
+            "rd": metrics,
+            "mean-buffer": {"fractions", "decimal", "reorderlab.oracle", *metrics},
+        }
+
+    def test_library_import_loads_no_cli(self):
+        probe = "import sys; from reorderlab import enumerate_classes; print(*sorted(sys.modules))"
+        proc = bare_python("-c", probe)
+        assert proc.stderr == ""
+        loaded = set(proc.stdout.split())
+        assert "reorderlab.oracle" in loaded
+        assert not loaded & {"reorderlab.cli", "argparse"}
+
+
+# the package's sorted dir() from when it imported every module at start-up,
+# whichever submodule was imported first; importing cli adds "cli"
+PACKAGE_DIR = [
+    "CapacityExceededError", "DisplacementDistribution", "Episode", "EpisodeSegmentation",
+    "EquivalenceClassReport", "IdentityViolation", "InvalidParameterError",
+    "InvalidSequenceError", "MAX_SUS", "ORDERED", "RcvWindowSeries", "ReceiverState",
+    "ReconstructionTrace", "ReorderError", "SusPartition", "UNORDERED", "__all__",
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+    "__package__", "__path__", "__spec__", "__version__", "ack_from_buffer", "ack_sequence",
+    "behaviorally_equivalent", "buffer_sizes", "buffering", "check_ids", "check_permutation",
+    "consistency_counterexample", "disorder", "enumerate_classes", "errors", "fb_equivalent",
+    "lds_bruteforce", "mean_buffer_size", "metrics", "oracle", "rcv_window_series",
+    "reconstruct", "reconstruct_trace", "reorder_density", "segment_episodes", "sus",
+    "sus_partition", "verify_identities", "verify_theorem",
+]  # fmt: skip
+
+# Imports one submodule first, then checks the package's exports against the
+# modules that define them, and prints its dir() before and after.
+EXPORTS_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+import reorderlab
+listed = sorted(dir(reorderlab))
+homes = json.loads(sys.argv[2])
+assert sorted(n for names in homes.values() for n in names) == sorted(reorderlab.__all__)
+for module, names in homes.items():
+    for name in names:
+        assert getattr(reorderlab, name) is getattr(importlib.import_module(module), name), name
+assert callable(reorderlab.reconstruct)
+try:
+    reorderlab.no_such_export
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([listed, sorted(dir(reorderlab)), missing]))
+"""
+
+# each export of the package, by the module that defines it
+EXPORT_HOMES = {
+    "reorderlab": ["__version__"],
+    "reorderlab.buffering": [
+        "ORDERED", "UNORDERED", "Episode", "EpisodeSegmentation", "ReceiverState",
+        "ack_from_buffer", "ack_sequence", "behaviorally_equivalent", "buffer_sizes",
+        "check_ids", "check_permutation", "fb_equivalent", "segment_episodes",
+    ],
+    "reorderlab.disorder": ["SusPartition", "lds_bruteforce", "sus", "sus_partition"],
+    "reorderlab.errors": [
+        "CapacityExceededError", "InvalidParameterError", "InvalidSequenceError",
+        "ReorderError",
+    ],
+    "reorderlab.metrics": [
+        "DisplacementDistribution", "RcvWindowSeries", "consistency_counterexample",
+        "mean_buffer_size", "rcv_window_series", "reorder_density",
+    ],
+    "reorderlab.oracle": [
+        "EquivalenceClassReport", "IdentityViolation", "enumerate_classes",
+        "verify_identities", "verify_theorem",
+    ],
+    "reorderlab.reconstruct": ["MAX_SUS", "ReconstructionTrace", "reconstruct", "reconstruct_trace"],
+}  # fmt: skip
+
+
+class TestLazyExports:
+    """Whichever submodule loads first, the exports are the defining modules' objects.
+
+    ``metrics`` and ``oracle`` load on first use; ``reconstruct``, which a late
+    submodule import would rebind to the module, stays a function.
     """
 
-    def test_process_runs_without_collector(self):
-        proc = collector_probe("map", "4", "3", "2", "1")
-        expected = (EXIT_OK, "4\n4\n4\n0\n", "False True\n")
-        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    @pytest.mark.parametrize("first", ["oracle", "reconstruct", "metrics", "cli"])
+    def test_exports_after_first_import(self, first):
+        proc = bare_python("-c", EXPORTS_PROBE, f"reorderlab.{first}", json.dumps(EXPORT_HOMES))
+        assert proc.stderr == ""
+        before, after, missing = json.loads(proc.stdout)
+        expected = sorted(PACKAGE_DIR + ["cli"] * (first == "cli"))
+        assert before == after == expected
+        assert missing == "module 'reorderlab' has no attribute 'no_such_export'"
 
-    def test_usage_error_exit_freezes_too(self):
-        proc = collector_probe("map")
-        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
-        assert proc.stderr.endswith("the following arguments are required: trace\nFalse True\n")
 
-    def test_help_exit_freezes_too(self):
-        proc = collector_probe("-h")
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, "False True\n")
-        assert proc.stdout.startswith("usage: reorderlab ")
+# Runs ``python -m reorderlab`` with the probe's own arguments.  An atexit hook
+# reports if interpreter teardown runs; os._exit is wrapped to report whether
+# the cyclic garbage collector is on when the process ends.
+EXIT_PROBE = """
+import atexit, gc, os, runpy, sys
+atexit.register(lambda: print("atexit ran", file=sys.stderr))
+hard_exit = os._exit
+def report_exit(code):
+    os.write(2, b"collector on at exit\\n" if gc.isenabled() else b"collector off at exit\\n")
+    hard_exit(code)
+os._exit = report_exit
+sys.argv = ["reorderlab", *sys.argv[1:]]
+runpy.run_module("reorderlab", run_name="__main__", alter_sys=True)
+"""
+
+
+def exit_probe(*argv, stdin=None):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, *argv],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+        timeout=60,
+    )
+
+
+class TestCollectorPolicy:
+    """The process entry point switches the cyclic collector off and ends with ``os._exit``.
+
+    So no ``atexit`` hook runs, on a result and on argparse's exits alike,
+    and exit code, stdout and stderr are those of ``main``.  ``main`` leaves
+    the collector be.
+    """
+
+    OFF = b"collector off at exit\n"
+
+    def check(self, capsys, monkeypatch, argv, code):
+        """The probe ends as ``main`` returns or exits on ``argv``, at the same help width."""
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's exits
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code and (out or err)
+        proc = exit_probe(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code,
+            out.encode(),
+            err.encode() + self.OFF,
+        )
+
+    def test_process_runs_without_collector(self, capsys, monkeypatch):
+        self.check(capsys, monkeypatch, ["map", "4", "3", "2", "1"], EXIT_OK)
+
+    def test_usage_error_exit_skips_teardown_too(self, capsys, monkeypatch):
+        self.check(capsys, monkeypatch, ["map"], EXIT_INPUT)
+
+    def test_help_exit_skips_teardown_too(self, capsys, monkeypatch):
+        self.check(capsys, monkeypatch, ["-h"], EXIT_OK)
+
+    def test_multi_megabyte_stdout_arrives_whole(self):
+        n = 3 * 10**5
+        trace = "".join(f"{i}\n" for i in range(n, 0, -1))  # size n until the last ID, then 0
+        proc = exit_probe("map", "--format", "csv", "-", stdin=trace.encode())
+        expected = "position,value\n" + "".join(f"{i},{n}\n" for i in range(1, n)) + f"{n},0\n"
+        assert len(expected) > 3 * 10**6
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, self.OFF)
+        assert proc.stdout == expected.encode()
 
     @pytest.mark.parametrize("argv", [["map", "4 3 2 1"], ["map", "x"], ["map"]], ids=" ".join)
     @pytest.mark.parametrize("enabled", [True, False])
@@ -798,8 +930,9 @@ class TestVerifyWitness:
     @pytest.fixture
     def witnesses(self, monkeypatch):
         def install(theorem, identities):
-            monkeypatch.setattr("reorderlab.cli.verify_theorem", lambda n: theorem)
-            monkeypatch.setattr("reorderlab.cli.verify_identities", lambda n: identities)
+            # cmd_verify imports the engines from oracle when it runs, so patch them there
+            monkeypatch.setattr("reorderlab.oracle.verify_theorem", lambda n: theorem)
+            monkeypatch.setattr("reorderlab.oracle.verify_identities", lambda n: identities)
 
         return install
 

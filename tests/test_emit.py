@@ -5,7 +5,8 @@ what ``_oracles.oracle_render`` writes from the same library results with
 ``str`` per value and ``csv.writer``.  Traces include the empty one, gapped
 IDs, IDs above 2**63 and malformed ones (repeats, zero), which must print
 nothing.  The witness branches of ``verify`` and ``consistency``, which no
-correct engine reaches, run through patched engines.
+correct engine reaches, run through engines patched in their defining
+modules, from which the handlers import them when they run.
 """
 
 import argparse
@@ -143,15 +144,15 @@ class TestEngineCommands:
     @settings(max_examples=100, deadline=None)
     def test_verify_witnesses(self, n, theorem, identities):
         with (
-            mock.patch("reorderlab.cli.verify_theorem", lambda n: theorem),
-            mock.patch("reorderlab.cli.verify_identities", lambda n: identities),
+            mock.patch("reorderlab.oracle.verify_theorem", lambda n: theorem),
+            mock.patch("reorderlab.oracle.verify_identities", lambda n: identities),
         ):
             check(["verify", "--n", str(n)], lambda: oracle_verify_views(n, theorem, identities))
 
     @given(st.sampled_from([["--metric", "mean-buffer"], ["--metric", "rd", "--dt", "2"]]), pairs)
     @settings(max_examples=100, deadline=None)
     def test_consistency_witnesses(self, metric, witness):
-        with mock.patch("reorderlab.cli.consistency_counterexample", lambda metric, n: witness):
+        with mock.patch("reorderlab.metrics.consistency_counterexample", lambda metric, n: witness):
             check(["consistency", *metric, "--n", "4"], lambda: oracle_consistency_views(witness))
 
     def test_real_engines(self):
