@@ -7,11 +7,12 @@ ordered/unordered episode segmentation, ascending-list disorder measures,
 reconstruction of low-disorder permutations from buffer series alone, and
 consistency probes for reordering metrics.
 
-The ``metrics`` and ``oracle`` exports load on first use (PEP 562), so a
-command-line run that needs neither does not import them; ``__all__`` and
-``dir()`` list them as before.  The other exports stay eager.  ``reconstruct``
-must: importing the ``reorderlab.reconstruct`` submodule binds the package's
-``reconstruct`` to the module, so a late import would replace the function.
+The ``metrics`` and ``oracle`` exports load on first use (PEP 562) and are
+read from their modules on each access, so a command-line run that needs
+neither does not import them; ``__all__`` and ``dir()`` list them as before.
+The other exports stay eager.  ``reconstruct`` must: importing the
+``reorderlab.reconstruct`` submodule binds the package's ``reconstruct`` to
+the module, so a late import would replace the function.
 """
 
 from .buffering import (
@@ -69,16 +70,19 @@ _LAZY = {
 
 
 def __getattr__(name: str) -> object:
-    """Import a lazy export's module on first use; the export is then a plain global."""
+    """Import a lazy export's module on first use and read the export from it.
+
+    The export is read from its module on every access and not kept here, so
+    a patch of the module's name, and its undoing, show through the package.
+    Importing the module binds the submodule's own name here.
+    """
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = import_module(f"{__name__}.{module}")  # also binds the submodule's name here
-    if name != module:
-        value = globals()[name] = getattr(value, name)
-    return value
+    value = import_module(f"{__name__}.{module}")
+    return value if name == module else getattr(value, name)
 
 
 def __dir__() -> list[str]:

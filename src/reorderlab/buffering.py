@@ -123,6 +123,11 @@ class ReceiverState:
         The upload point is the ACK minus one.  IDs are checked as they
         arrive, with ``check_ids``' messages and 1-based positions counted
         across calls; on a bad ID the state holds the arrivals before it.
+
+        Nothing is buffered exactly when ``highest_seen == uploadable``: the
+        highest ID seen is in ``pending`` whenever it lies above the upload
+        point.  Then the ID ``highest_seen + 1``, which can be neither a
+        repeat nor below 1, takes one branch that moves both counters to it.
         """
         highest, uploadable, pending = self.highest_seen, self.uploadable, self.pending
         sizes: list[int] = []
@@ -133,6 +138,12 @@ class ReceiverState:
                 # on a bad ID, self.arrivals + len(sizes) + 1 is its 1-based position
                 if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
                     raise _not_positive(self.arrivals + len(sizes) + 1, v)
+                if highest == uploadable and v == highest + 1:
+                    # nothing buffered and the next ID: the common case of an almost sorted trace
+                    highest = uploadable = v
+                    add_size(0)
+                    add_upload(v)
+                    continue
                 if v <= uploadable:
                     pos = self.arrivals + len(sizes) + 1
                     raise _not_positive(pos, v) if v <= 0 else _duplicate(pos, v)

@@ -3,7 +3,7 @@
 import io
 import random
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from itertools import chain, permutations
 
 import pytest
@@ -88,6 +88,41 @@ def split_traces(draw):
     return ids, [ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+@st.composite
+def almost_sorted_splits(draw):
+    """An almost sorted trace, maybe with a late repeat, and its chunks.
+
+    The trace is built from in-order runs, adjacent swaps, late IDs and gaps
+    (lost IDs).  Chunks are cut just before and just after arrivals where the
+    buffer empties or fills again, and at a few other points.
+    """
+    ids, nxt = [], 1
+    pieces = st.tuples(st.sampled_from(["run", "swap", "late", "gap"]), st.integers(1, 4))
+    for kind, k in draw(st.lists(pieces, max_size=10)):
+        if kind == "run":
+            ids += range(nxt, nxt + k)
+        elif kind == "swap":
+            ids += [nxt + 1, nxt]
+            k = 2
+        elif kind == "late":  # nxt arrives after the k IDs above it
+            ids += [*range(nxt + 1, nxt + k + 1), nxt]
+            k += 1
+        nxt += k  # a gap skips k IDs for good
+    if ids and draw(st.booleans()):
+        at = draw(st.integers(min_value=1, max_value=len(ids)))
+        ids.insert(at, draw(st.sampled_from(ids[:at])))
+    sizes, oracle = [], OracleReceiverState()
+    with suppress(InvalidSequenceError):  # the arrivals before a late repeat
+        for v in ids:
+            sizes.append(oracle.observe(v))
+    flips = [i for i, (a, b) in enumerate(zip([0, *sizes], sizes), start=1) if (a == 0) != (b == 0)]
+    cut_points = sorted({*flips, *(i - 1 for i in flips)})
+    cuts = draw(st.lists(st.sampled_from(cut_points), max_size=6)) if cut_points else []
+    cuts += draw(st.lists(st.integers(min_value=0, max_value=len(ids)), max_size=2))
+    bounds = [0, *sorted(cuts), len(ids)]
+    return ids, [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _outcome(fn, *args):
     """A call's result, or the message and position of the error it raised."""
     try:
@@ -114,6 +149,19 @@ def _receiver_state_series(ids):
         sizes.append(state.observe(v))
         acks.append(state.next_ack)
     return sizes, acks
+
+
+def _observe(oracle, ids):
+    """Feed ``ids`` to an ``OracleReceiverState``: buffer sizes and upload points."""
+    sizes, uploads = [], []
+    for v in ids:
+        sizes.append(oracle.observe(v))
+        uploads.append(oracle.uploadable)
+    return sizes, uploads
+
+
+def _counters(state):
+    return state.highest_seen, state.uploadable, state.pending, state.arrivals
 
 
 def _kernel_series(ids):
@@ -709,6 +757,62 @@ class TestReceiverState:
         fresh = ReceiverState()
         fresh.feed(ids if outcome[0] == "ok" else ids[: outcome[2] - 1])
         assert _state_view(state) == _state_view(fresh)
+
+    @given(almost_sorted_splits())
+    @settings(max_examples=400, deadline=None)
+    @example(([1, 2, 4, 3, 5, 6, 3], [[1, 2], [4], [3], [5, 6, 3]]))
+    def test_almost_sorted_matches_oracle(self, split):
+        ids, chunks = split
+        assert _outcome(receiver_pass, ids) == _outcome(_observe, OracleReceiverState(), ids)
+        # chunk by chunk, against an oracle fed the same IDs one at a time
+        state, oracle = ReceiverState(), OracleReceiverState()
+        for chunk in chunks:
+            outcome = _outcome(state.feed, chunk)
+            assert outcome == _outcome(_observe, oracle, chunk)
+            assert _state_view(state) == _state_view(oracle)
+            if outcome[0] == "error":
+                break
+        # one arrival at a time, with the invariant the in-order branch rests on
+        state, oracle = ReceiverState(), OracleReceiverState()
+        for v in ids:
+            assert _outcome(state.observe, v) == _outcome(oracle.observe, v)
+            assert _state_view(state) == _state_view(oracle)
+            assert (state.highest_seen == state.uploadable) == (not state.pending)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([1, 1], "duplicate packet ID 1 at position 2"),
+            ([1, 2, 2], "duplicate packet ID 2 at position 3"),
+            ([1, True], "packet ID at position 2 must be a positive integer, got True"),
+            ([1, 2.0], "packet ID at position 2 must be a positive integer, got 2.0"),
+            ([1, 0], "packet ID at position 2 must be a positive integer, got 0"),
+            ([1, -3], "packet ID at position 2 must be a positive integer, got -3"),
+            # equal to the next ID, but not an int
+            ([True], "packet ID at position 1 must be a positive integer, got True"),
+            ([1.0], "packet ID at position 1 must be a positive integer, got 1.0"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("split", [None, 1])
+    def test_bad_id_with_nothing_buffered(self, ids, message, split):
+        position = len(ids)
+        state = ReceiverState()
+        with pytest.raises(InvalidSequenceError) as exc:
+            for chunk in (ids,) if split is None else (ids[:split], ids[split:]):
+                state.feed(chunk)
+        assert (str(exc.value), exc.value.position) == (message, position)
+        good = position - 1
+        assert _counters(state) == (good, good, set(), good)
+        assert _outcome(receiver_pass, ids) == ("error", message, position)
+
+    def test_int_subclass_takes_the_in_order_branch(self):
+        state = ReceiverState()
+        sizes, uploads = state.feed([1, _IntId(2), 3])
+        assert (sizes, uploads) == ([0, 0, 0], [1, 2, 3])
+        assert type(uploads[1]) is _IntId  # the ID itself, as the general path keeps it
+        assert _counters(state) == (3, 3, set(), 3)
+        assert (sizes, uploads) == receiver_pass([1, _IntId(2), 3])
 
     def test_in_order_memory_is_bounded(self):
         state = ReceiverState()

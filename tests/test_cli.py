@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from reorderlab import buffer_sizes
 from reorderlab.cli import (
+    COMMANDS,
     EXIT_INPUT,
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -663,6 +664,32 @@ class TestLazyExports:
         assert before == after == expected
         assert missing == "module 'reorderlab' has no attribute 'no_such_export'"
 
+    def test_patch_undone_shows_through_the_package(self):
+        lazy = {m: EXPORT_HOMES[m] for m in ("reorderlab.metrics", "reorderlab.oracle")}
+        proc = bare_python("-c", PATCH_PROBE, json.dumps(lazy))
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            f"{name} True True" for names in lazy.values() for name in names
+        ]
+
+
+# Patches each lazy export in its module, reads it once through the package,
+# undoes the patch, and prints whether the package gave the fake and then the
+# original.
+PATCH_PROBE = """
+import importlib, json, sys
+import reorderlab
+for module, names in json.loads(sys.argv[1]).items():
+    home = importlib.import_module(module)
+    for name in names:
+        original, fake = getattr(home, name), object()
+        setattr(home, name, fake)
+        seen = getattr(reorderlab, name)
+        setattr(home, name, original)
+        print(name, seen is fake, getattr(reorderlab, name) is original)
+assert reorderlab.verify_theorem is reorderlab.oracle.verify_theorem
+"""
+
 
 # Runs ``python -m reorderlab`` with the probe's own arguments.  An atexit hook
 # reports if interpreter teardown runs; os._exit is wrapped to report whether
@@ -835,6 +862,50 @@ class TestCyclicGarbage:
     def test_same_at_10_and_10_to_the_5_ids(self, traces, argv):
         short, long = garbage_by_length(argv, traces)
         assert long == short
+
+
+# one run of each subcommand, with placeholders for trace_files' files
+DEV_MODE_ARGVS = {
+    "map": ["map", "{trace}"],
+    "ack": ["ack", "--format", "csv", "{trace}"],
+    "sus": ["sus", "--format", "json", "{trace}"],
+    "episodes": ["episodes", "{trace}"],
+    "rd": ["rd", "--dt", "3", "{trace}"],
+    "rcvwindow": ["rcvwindow", "--rcv-buffer", "8", "{trace}"],
+    "equiv": ["equiv", "{trace}", "{other}"],
+    "reconstruct": ["reconstruct", "{series}"],
+    "verify": ["verify", "--n", "4"],
+    "consistency": ["consistency", "--metric", "mean-buffer", "--n", "4"],
+}
+
+# ``main`` in an interpreter that ends normally, so teardown reports what is left open
+MAIN_PROBE = "import sys; from reorderlab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class TestDevMode:
+    """Each subcommand run through ``main`` in development mode, warnings as errors.
+
+    ``python -m reorderlab`` ends with ``os._exit``, which skips the teardown
+    that would report a file or stream left open; this child tears down.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        return trace_files(tmp_path_factory.mktemp("devmode"), 10)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_warning_and_same_result(self, files, command):
+        argv = [arg.format(**files) for arg in DEV_MODE_ARGVS[command]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        dev, plain = (
+            subprocess.run(
+                [sys.executable, *args, *argv], capture_output=True, env=env, timeout=60
+            )
+            for args in (["-X", "dev", "-W", "error", "-c", MAIN_PROBE], ["-m", "reorderlab"])
+        )
+        assert dev.stderr == b""
+        assert (dev.returncode, dev.stdout) == (plain.returncode, plain.stdout)
+        assert dev.stdout
 
 
 # (argv, exit code, stdout) of TestExactOutput
