@@ -648,6 +648,24 @@ EXPORT_HOMES = {
 }  # fmt: skip
 
 
+# Patches each lazy export in its module, reads it once through the package,
+# undoes the patch, and prints whether the package gave the fake and then the
+# original.
+PATCH_PROBE = """
+import importlib, json, sys
+import reorderlab
+for module, names in json.loads(sys.argv[1]).items():
+    home = importlib.import_module(module)
+    for name in names:
+        original, fake = getattr(home, name), object()
+        setattr(home, name, fake)
+        seen = getattr(reorderlab, name)
+        setattr(home, name, original)
+        print(name, seen is fake, getattr(reorderlab, name) is original)
+assert reorderlab.verify_theorem is reorderlab.oracle.verify_theorem
+"""
+
+
 class TestLazyExports:
     """Whichever submodule loads first, the exports are the defining modules' objects.
 
@@ -671,24 +689,6 @@ class TestLazyExports:
         assert proc.stdout.splitlines() == [
             f"{name} True True" for names in lazy.values() for name in names
         ]
-
-
-# Patches each lazy export in its module, reads it once through the package,
-# undoes the patch, and prints whether the package gave the fake and then the
-# original.
-PATCH_PROBE = """
-import importlib, json, sys
-import reorderlab
-for module, names in json.loads(sys.argv[1]).items():
-    home = importlib.import_module(module)
-    for name in names:
-        original, fake = getattr(home, name), object()
-        setattr(home, name, fake)
-        seen = getattr(reorderlab, name)
-        setattr(home, name, original)
-        print(name, seen is fake, getattr(reorderlab, name) is original)
-assert reorderlab.verify_theorem is reorderlab.oracle.verify_theorem
-"""
 
 
 # Runs ``python -m reorderlab`` with the probe's own arguments.  An atexit hook
