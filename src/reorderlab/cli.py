@@ -10,40 +10,41 @@ are always inline, even when a file of that name exists.
 arguments; the handlers that need ``metrics`` or ``oracle`` import them when
 they run, so other commands never load them.  ``main`` alone maps errors to
 exit codes.  ``run``, the process entry point, switches the cyclic garbage
-collector off, flushes standard output and error once ``main`` returns or
-argparse exits (usage errors, ``-h``), and ends the process with
-``os._exit``, skipping interpreter teardown and ``atexit`` hooks; any other
-exception propagates with its traceback.  ``main`` leaves the collector be.
+collector off (``main`` leaves it be) and ends the process with ``os._exit``
+once ``main`` returns or argparse exits (usage errors, ``-h``), skipping
+teardown and ``atexit`` hooks; other exceptions propagate with a traceback.
 
 Each ``cmd_*`` function returns a ``Report`` and ``render`` writes it: it
-alone reads ``--format`` and writes results to standard output.  Text and
-csv are lines, csv's header first, with the integers of a block of lines
-formatted by one ``%``; json is one compact object with sorted keys.
+alone reads ``--format`` and writes to standard output, which it flushes.
+Text and csv are lines, csv's header first, with the integers of a block of
+lines formatted by one ``%``; json is one compact object with sorted keys.
 Booleans are ``true``/``false`` in every format.  The csv lines of
 ``equiv``, ``verify`` and ``consistency`` are their text lines with the
 first space made a comma (``consistency`` adds a leading ``consistent``
 line).  ``reconstruct --format csv`` with no preimage prints the header only.
 
 Exit codes: 0 success; 1 negative domain result (no preimage, inconsistent
-metric, failed verification, traces not equivalent, buffer overflow);
-2 malformed input or bad parameters, including a trace file that cannot be
-read or is not UTF-8 and ``equiv`` given ``-`` for both traces; 141 standard
-output closed before all of it was written (as a shell reports a tool
-killed by SIGPIPE), with nothing printed to standard error.  An error message,
-usage errors included, that standard error cannot take (closed, or a pipe with
-no reader) is dropped, and the exit code stays the error's own.
+metric, failed verification, traces not equivalent, buffer overflow); 2
+malformed input or bad parameters.  One rule per standard stream: a trace file
+or standard input that cannot be read gives 2; standard output whose reader is
+gone gives 141, as after SIGPIPE, with nothing on standard error; any other
+failure to write standard output gives 2; an error message that standard error
+cannot take is dropped.  argparse writes ``-h``'s help itself, to standard
+error if standard output is closed, and a failure of that write is its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import math
 import os
 import sys
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 from .buffering import _equivalences, ack_sequence, buffer_sizes, segment_episodes
 from .disorder import sus_partition
@@ -79,24 +80,26 @@ def resolve_trace(tokens: Sequence[str]) -> list[int]:
     Tokens made of integers are inline values, ``-`` reads standard input,
     and a single other token that names an existing file is read as a file.
     """
-    if len(tokens) == 1 and tokens[0] == "-":
-        return parse_trace(sys.stdin.read(), "<stdin>")
     pieces = " ".join(tokens).split()
     try:
         return list(map(int, pieces))
     except ValueError:
-        if len(tokens) != 1 or not os.path.exists(tokens[0]):
-            shown = _shown(_first_non_integer(pieces))
-            raise TraceParseError(
-                f"not a readable trace file and not an integer: {shown}"
-            ) from None
-    path = tokens[0]
+        path = tokens[0] if len(tokens) == 1 else ""  # "" names no file
+    if path != "-" and not os.path.exists(path):
+        shown = _shown(_first_non_integer(pieces))
+        raise TraceParseError(f"not a readable trace file and not an integer: {shown}")
+    source = "<stdin>" if path == "-" else path
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        if path != "-":
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        elif sys.stdin is None:  # descriptor 0 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            text = sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise TraceParseError(f"cannot read {path}: {exc}") from None
-    return parse_trace(text, path)
+        raise TraceParseError(f"cannot read {source}: {exc}") from None
+    return parse_trace(text, source)
 
 
 def _first_non_integer(tokens: Iterable[str]) -> str:
@@ -128,14 +131,16 @@ class Report(NamedTuple):
 
 
 def render(report: Report, fmt: str) -> None:
-    """Write a report's chosen view to standard output: the json object, or the joined lines."""
+    """Write a report's chosen view to standard output and flush it: json, or the joined lines."""
     view = getattr(report, fmt)()
     if fmt == "json":
         import json
 
-        print(json.dumps(view, sort_keys=True, separators=(",", ":")))
-    else:
-        sys.stdout.write("".join(view))
+        view = (json.dumps(view, sort_keys=True, separators=(",", ":")), "\n")
+    if sys.stdout is None:  # descriptor 1 was closed at start-up
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write("".join(view))
+    sys.stdout.flush()
 
 
 def _block(row: str, *columns: Iterable[object]) -> str:
@@ -394,11 +399,16 @@ def _warn(text: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Writes usage errors as ``main`` writes its own: to standard error, or nowhere."""
+    """Writes usage errors as ``main`` writes its own, and flushes ``-h``'s help."""
 
     def error(self, message: str) -> NoReturn:
         _warn(f"{self.format_usage()}{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_INPUT)
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        super().print_help(file)  # to standard error if standard output is closed
+        if sys.stdout is not None:
+            sys.stdout.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,36 +427,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-            report = args.func(args)
-            render(report, args.format)
-            return report.code
-        except ReorderError as exc:
-            _warn(f"error: {exc}\n")
-            return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
-        finally:
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away.  Point stdout at the null device so the
-        # flush at interpreter exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        args = build_parser().parse_args(argv)
+        report = args.func(args)
+        render(report, args.format)
+        return report.code
+    except ReorderError as exc:
+        _warn(f"error: {exc}\n")
+        return EXIT_NEGATIVE if isinstance(exc, CapacityExceededError) else EXIT_INPUT
+    except BrokenPipeError:  # the reader went away: end quietly, as SIGPIPE would
         return EXIT_PIPE
+    except OSError as exc:  # only render and -h's flush write; resolve_trace wraps its own
+        _warn(f"error: cannot write standard output: {exc}\n")
+        return EXIT_INPUT
 
 
 def run() -> NoReturn:
     import gc
 
     gc.disable()  # the run makes no input-sized cycles; a collection would only rescan its lists
+    out = sys.stdout  # under -u, text on the raw file, which drops a short write's count
+    if isinstance(getattr(out, "buffer", None), io.FileIO):  # buffered retries it or raises
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors)
     try:
         code = main()
     except SystemExit as exc:  # argparse's exits, usage errors and -h, with an int status
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except (AttributeError, OSError):  # closed (None) or unwritable, as in _warn
-            pass
-    os._exit(code)  # nothing is left to do, so skip interpreter teardown
+    os._exit(code)  # what is written is flushed, so skip interpreter teardown

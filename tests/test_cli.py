@@ -7,9 +7,10 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
 from unittest import mock
@@ -45,6 +46,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child(*args, env=None, **keywords):
+    """``python *args`` on ``SRC``, in this environment with ``env`` added."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC), **(env or {})},
+        timeout=60,
+        **keywords,
+    )
 
 
 class TestTraceParsing:
@@ -456,25 +470,34 @@ class TestConsistency:
 class TestClosedStdout:
     """A reader that closes stdout early ends the run quietly with EXIT_PIPE."""
 
-    @pytest.mark.parametrize("argv", [["map", "1", "2"], ["ack", "-"], ["episodes", "-"]])
-    def test_no_traceback(self, argv):
+    ARGVS = pytest.mark.parametrize("argv", [["map", "1", "2"], ["ack", "-"], ["episodes", "-"]])
+
+    def check(self, argv, env=None):
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader at all: the first write fails
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "reorderlab", *argv],
+            proc = child(
+                "-m",
+                "reorderlab",
+                *argv,
                 input="\n".join(map(str, range(1, 50_001))).encode(),
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=env,
-                timeout=60,
             )
         finally:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == EXIT_PIPE
+
+    @ARGVS
+    def test_no_traceback(self, argv):
+        self.check(argv)
+
+    @ARGVS
+    def test_no_traceback_unbuffered(self, argv):
+        """Under ``-u`` the run writes through the buffered layer it adds."""
+        self.check(argv, {"PYTHONUNBUFFERED": "1"})
 
 
 class TestUnwritableStderr:
@@ -494,23 +517,107 @@ class TestUnwritableStderr:
     )
     @pytest.mark.parametrize("stderr", ["closed", "read-only", "no reader"])
     def test_exit_code_kept(self, argv, code, stderr):
-        src = Path(__file__).resolve().parent.parent / "src"
         read_end, write_end = os.pipe()
         os.close(read_end)  # a pipe with no reader
         try:
             with open(os.devnull, "rb") as read_only:
                 target = {"closed": None, "read-only": read_only, "no reader": write_end}[stderr]
-                proc = subprocess.run(
-                    [sys.executable, "-m", "reorderlab", *argv],
+                proc = child(
+                    "-m",
+                    "reorderlab",
+                    *argv,
                     stdout=subprocess.PIPE,
                     stderr=target,
                     preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
-                    env={**os.environ, "PYTHONPATH": str(src)},
-                    timeout=60,
                 )
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+FSIZE_LIMIT = 16_384  # bytes; every output of TestUnusableStreams' trace is larger
+
+
+def limit_file_size():
+    """In the child before exec: a file it writes may not grow past ``FSIZE_LIMIT``."""
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FSIZE_LIMIT, FSIZE_LIMIT))
+
+
+WRITE_ERROR = "error: cannot write standard output: "
+READ_ERROR = "error: cannot read <stdin>: "
+EBADF = "[Errno 9] Bad file descriptor"
+
+# name: (trace argument, child keywords, error line); a file name given as
+# stdout or stdin is opened for writing, with "{dir}" the test's directory
+STREAM_CASES = {
+    "stdout closed": ("{trace}", dict(preexec_fn=lambda: os.close(1)), WRITE_ERROR + EBADF),
+    "stdout full": pytest.param(
+        "{trace}",
+        dict(stdout="/dev/full"),
+        WRITE_ERROR + "[Errno 28] No space left on device",
+        marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+    ),
+    "stdout over size limit": (
+        "{trace}",
+        dict(stdout="{dir}/out.txt", preexec_fn=limit_file_size),
+        WRITE_ERROR + "[Errno 27] File too large",
+    ),
+    "stdin closed": ("-", dict(preexec_fn=lambda: os.close(0)), READ_ERROR + EBADF),
+    "stdin write-only": ("-", dict(stdin="{dir}/in.txt"), READ_ERROR + EBADF),
+    "stdin undecodable": (
+        "-",
+        dict(input=b"1 \xff\n", env={"PYTHONIOENCODING": "utf-8:strict"}),
+        READ_ERROR + "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte",
+    ),
+}
+BUFFERING = pytest.mark.parametrize(
+    "buffering", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+)
+
+
+class TestUnusableStreams:
+    """A standard stream that cannot be used ends the run with exit 2 and one error line.
+
+    Buffered and unbuffered alike: unbuffered, the text layer sits on the
+    raw file, which a short write under a file-size limit would truncate
+    silently.
+    """
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("streams") / "in-order.txt"
+        path.write_text("".join(f"{i}\n" for i in range(1, 30_001)))
+        return str(path)
+
+    def run(self, argv, keywords, buffering, directory):
+        keywords = {**keywords, "env": {**buffering, **keywords.get("env", {})}}
+        with ExitStack() as stack:
+            for stream in {"stdout", "stdin"} & set(keywords):
+                name = keywords[stream].format(dir=directory)
+                keywords[stream] = stack.enter_context(open(name, "wb"))
+            return child("-m", "reorderlab", *argv, stderr=subprocess.PIPE, **keywords)
+
+    @pytest.mark.parametrize("source, keywords, error", STREAM_CASES.values(), ids=STREAM_CASES)
+    @pytest.mark.parametrize("argv", [["map"], ["episodes", "--format", "json"]], ids=" ".join)
+    @BUFFERING
+    def test_one_error_line(self, tmp_path, trace, source, keywords, error, argv, buffering):
+        proc = self.run([*argv, source.format(trace=trace)], keywords, buffering, tmp_path)
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_INPUT, error + "\n")
+
+    @BUFFERING
+    def test_input_error_with_stdout_closed(self, tmp_path, buffering):
+        _, keywords, _ = STREAM_CASES["stdout closed"]
+        proc = self.run(["map", "1", "x"], keywords, buffering, tmp_path)
+        error = "error: not a readable trace file and not an integer: 'x'\n"
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_INPUT, error)
+
+    @BUFFERING
+    def test_help_with_stdout_closed(self, tmp_path, monkeypatch, buffering):
+        """argparse writes the help to standard error instead, and the run succeeds."""
+        monkeypatch.setenv("COLUMNS", "80")
+        _, keywords, _ = STREAM_CASES["stdout closed"]
+        proc = self.run(["-h"], keywords, buffering, tmp_path)
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_OK, build_parser().format_help())
 
 
 # Runs commands one after another in one interpreter and prints, after each,
@@ -536,14 +643,7 @@ for name, argv in [
 
 def bare_python(*args):
     """Run ``python -S`` (no site start-up, so no site hook has loaded anything) on ``src``."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run(
-        [sys.executable, "-S", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=60,
-    )
+    return child("-S", *args, capture_output=True, text=True)
 
 
 class TestImportHygiene:
@@ -708,14 +808,7 @@ runpy.run_module("reorderlab", run_name="__main__", alter_sys=True)
 
 
 def exit_probe(*argv, stdin=None):
-    src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run(
-        [sys.executable, "-c", EXIT_PROBE, *argv],
-        input=stdin,
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
-        timeout=60,
-    )
+    return child("-c", EXIT_PROBE, *argv, input=stdin, capture_output=True, env={"COLUMNS": "80"})
 
 
 class TestCollectorPolicy:
@@ -896,11 +989,8 @@ class TestDevMode:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_no_warning_and_same_result(self, files, command):
         argv = [arg.format(**files) for arg in DEV_MODE_ARGVS[command]]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         dev, plain = (
-            subprocess.run(
-                [sys.executable, *args, *argv], capture_output=True, env=env, timeout=60
-            )
+            child(*args, *argv, capture_output=True)
             for args in (["-X", "dev", "-W", "error", "-c", MAIN_PROBE], ["-m", "reorderlab"])
         )
         assert dev.stderr == b""
