@@ -145,20 +145,19 @@ def verify_identities(n: int) -> IdentityViolation | None:
     """Exhaustively cross-check the structural identities on S_n.
 
     Per permutation, from one receiver pass: the highest ID seen equals the
-    upload point (ACK minus one) plus the buffer size at every step; greedy
-    SUS equals brute-force LDS; the ACK series is recoverable from the
-    buffer series alone; and exactly the SUS<=3 permutations round-trip
+    upload point (ACK minus one) plus the buffer size at every step; the
+    sweep's SUS equals brute-force LDS; the ACK series is recoverable from
+    the buffer series alone; and exactly the SUS<=3 permutations round-trip
     through reconstruction.  Returns None, or the first violation.
 
     The round trip runs reconstruction's unverified builder, ``_candidate``,
     whose result equals the permutation exactly when ``reconstruct(m)`` does.
     """
     _check_n(n, MAX_IDENTITY_N)
-    for perm in permutations(range(1, n + 1)):
+    for perm, _, u in _sweep(n):
         m, uploads = receiver_pass(perm)
         if list(accumulate(perm, max)) != list(map(add, uploads, m)):
             return IdentityViolation(perm, "highest-vs-ack")
-        u = sus(perm)
         if u != lds_bruteforce(perm):
             return IdentityViolation(perm, "sus-vs-lds")
         acks = ack_from_buffer(m)

@@ -11,15 +11,21 @@ import csv
 import io
 import os
 import sys
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, repeat
+from operator import add
 from random import Random
 
+import reorderlab.oracle
 from reorderlab import (
     CapacityExceededError,
+    IdentityViolation,
     InvalidSequenceError,
     RcvWindowSeries,
     ReconstructionTrace,
+    ack_from_buffer,
     buffer_sizes,
+    lds_bruteforce,
+    sus,
 )
 from reorderlab.buffering import receiver_pass
 from reorderlab.cli import (
@@ -37,6 +43,7 @@ from reorderlab.cli import (
     cmd_verify,
 )
 from reorderlab.oracle import MAX_IDENTITY_N
+from reorderlab.reconstruct import _candidate
 
 
 def oracle_check_ids(ids):
@@ -216,6 +223,27 @@ def oracle_consistency_counterexample(metric, n):
             if earlier_value != value:
                 return earlier, perm
         seen.setdefault(key, []).append((perm, value))
+    return None
+
+
+def oracle_verify_identities(n):
+    """``verify_identities`` with its own ``permutations()`` loop and a greedy ``sus`` call.
+
+    Reads the bound as ``reorderlab.oracle.MAX_SUS`` at each call, so a test
+    that patches it moves both.
+    """
+    for perm in permutations(range(1, n + 1)):
+        m, uploads = receiver_pass(perm)
+        if list(accumulate(perm, max)) != list(map(add, uploads, m)):
+            return IdentityViolation(perm, "highest-vs-ack")
+        u = sus(perm)
+        if u != lds_bruteforce(perm):
+            return IdentityViolation(perm, "sus-vs-lds")
+        acks = ack_from_buffer(m)
+        if acks != tuple(map(add, uploads, repeat(1))):
+            return IdentityViolation(perm, "ack-from-buffer")
+        if (u <= reorderlab.oracle.MAX_SUS) != (_candidate(m, acks)[0] == perm):
+            return IdentityViolation(perm, "reconstruct-round-trip")
     return None
 
 

@@ -22,7 +22,7 @@ from reorderlab import (
 from reorderlab.buffering import receiver_pass
 from reorderlab.oracle import _patience_nodes, _received_sets, _sweep
 
-from _oracles import OracleReceiverState, oracle_classes, oracle_m
+from _oracles import OracleReceiverState, oracle_classes, oracle_m, oracle_verify_identities
 
 
 class TestSeriesTable:
@@ -232,20 +232,37 @@ class TestVerifyIdentities:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_passes(self, monkeypatch, n):
         # one receiver pass per permutation: the sweep visits all n! of S_n
-        visited = []
+        visited, sus_calls = [], []
 
         def spy(perm):
             visited.append(perm)
             return receiver_pass(perm)
 
         monkeypatch.setattr("reorderlab.oracle.receiver_pass", spy)
+        # the SUS comes from the sweep's patience table, not from greedy sus
+        monkeypatch.setattr("reorderlab.oracle.sus", sus_calls.append)
         assert verify_identities(n) is None
         assert visited == list(permutations(range(1, n + 1)))
+        assert sus_calls == []
 
     @pytest.mark.parametrize("n", [0, 8])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             verify_identities(n)
+
+
+class TestIdentitiesMatchPermutationsLoop:
+    """The sweep's identity engine against its own ``permutations()`` loop and greedy sus."""
+
+    @pytest.mark.parametrize("bound", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_result(self, monkeypatch, n, bound):
+        monkeypatch.setattr("reorderlab.oracle.MAX_SUS", bound)
+        expected = oracle_verify_identities(n)
+        assert verify_identities(n) == expected
+        # only the paper's bound passes on every S_n: a lower one fails once a
+        # permutation of SUS bound + 1 round-trips, a higher one at 4321
+        assert (expected is None) == (bound == 3 or n <= min(bound, 3))
 
 
 def _sizes_off_by_one(perm):
@@ -266,6 +283,7 @@ class TestWitnessBranches:
         [
             ("receiver_pass", _sizes_off_by_one, "highest-vs-ack"),
             ("lds_bruteforce", lambda perm: 0, "sus-vs-lds"),
+            ("_sweep", _sus_one, "sus-vs-lds"),
             ("ack_from_buffer", lambda values: (), "ack-from-buffer"),
             ("_candidate", lambda w, acks: ((), [], []), "reconstruct-round-trip"),
         ],

@@ -11,9 +11,16 @@ to one integer constant.  It is written into a temporary copy of ``src`` and
 pass survived: the tests miss what that site does, or the change makes no
 difference.  The working tree is only read.
 
+``tools/known_survivors.txt`` lists the survivors already judged equivalent,
+one per line: the module's file name, the mutated line's source text without
+its indent, the change, and a one-line reason, separated by tabs.  An entry
+covers every site of its change on that line.  A survivor it lists prints as
+``known`` and does not count as a survivor.
+
 Mutants are written with ``ast.unparse``, so the unparsed, unmutated module
 must pass the same tests first.  Prints one line per mutant and a count per
-module; exits 1 if any mutant survived, 2 if a module cannot be probed.
+module; exits 1 if any mutant survived that the list does not name, 2 if a
+module cannot be probed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+KNOWN = ROOT / "tools" / "known_survivors.txt"
 FLIPS = {
     ast.Lt: (ast.LtE, "<", "<="),
     ast.LtE: (ast.Lt, "<=", "<"),
@@ -54,6 +62,16 @@ def _sites(tree: ast.AST, lines: list[str]) -> list[tuple[int, int, ast.expr, in
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((node.lineno, node.col_offset + 1, node, None))
     return sorted(found, key=lambda site: site[:2])
+
+
+def known_survivors() -> dict[tuple[str, str, str], str]:
+    """The reason for each (module file name, stripped source line, change) in ``KNOWN``."""
+    entries = {}
+    for text in KNOWN.read_text().splitlines():
+        if text.strip() and not text.startswith("#"):
+            module, source, change, reason = text.split("\t")
+            entries[module, source, change] = reason
+    return entries
 
 
 def mutants(source: str):
@@ -90,10 +108,11 @@ def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str | None
     return f"pytest exit {proc.returncode}"
 
 
-def probe(copy: Path, module: Path, tests: list[str]) -> int:
+def probe(copy: Path, module: Path, tests: list[str], known: dict) -> int:
     """Run every mutant of ``module``; returns the survivor count, or -1 if it cannot run."""
     target = copy / module
     source = target.read_text()
+    lines = source.splitlines()
     name = module.name
     try:
         target.write_text(ast.unparse(ast.parse(source)))
@@ -103,17 +122,22 @@ def probe(copy: Path, module: Path, tests: list[str]) -> int:
         if failure is not None:
             print(f"{name}: the unmutated module fails its tests ({failure})")
             return -1
-        killed = survived = 0
+        killed = listed = survived = 0
         for line, column, change, mutated in mutants(source):
             target.write_text(mutated)
             failure = run_tests(copy, tests, timeout)
-            if failure is None:
-                survived += 1
-                print(f"survived {name}:{line}:{column} {change}", flush=True)
-            else:
+            reason = known.get((name, lines[line - 1].strip(), change))
+            if failure is not None:
                 killed += 1
                 print(f"killed   {name}:{line}:{column} {change}  {failure}", flush=True)
-        print(f"{name}: {killed + survived} mutants, {killed} killed, {survived} survived")
+            elif reason is not None:
+                listed += 1
+                print(f"known    {name}:{line}:{column} {change}  {reason}", flush=True)
+            else:
+                survived += 1
+                print(f"survived {name}:{line}:{column} {change}", flush=True)
+        total = killed + listed + survived
+        print(f"{name}: {total} mutants, {killed} killed, {listed} known, {survived} survived")
         return survived
     finally:
         target.write_text(source)
@@ -136,14 +160,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no test files {tests} for {path}")
         jobs.append((module.relative_to(ROOT), tests))
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-    status = 0
+    known, status = known_survivors(), 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         for tree in ("src", "tests"):
             shutil.copytree(ROOT / tree, copy / tree, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         for module, tests in jobs:
-            survived = probe(copy, module, tests)
+            survived = probe(copy, module, tests, known)
             status = max(status, 2 if survived < 0 else int(survived > 0))
     return status
 
