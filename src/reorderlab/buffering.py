@@ -254,7 +254,12 @@ class Episode(NamedTuple):
 
 
 class EpisodeSegmentation(NamedTuple):
-    """Ordered/unordered episodes of a trace plus its pivot arrivals."""
+    """Ordered/unordered episodes of a trace plus its pivot arrivals.
+
+    Taken in arrival order, both pivot sets ascend: the positions trivially,
+    and the packets because the upload point only rises and the packet that
+    moves it is the ID just above it.
+    """
 
     episodes: tuple[Episode, ...]
     pivots: frozenset[int]  # 1-based positions where the upload point advanced
@@ -268,36 +273,54 @@ class EpisodeSegmentation(NamedTuple):
         raise IndexError(f"position {position} outside the segmented trace")
 
 
-def segment_episodes(ids: Iterable[int]) -> EpisodeSegmentation:
-    """Split a trace into ordered/unordered episodes and find its pivots.
+def _episode_pass(
+    ids: Sequence[int],
+) -> tuple[tuple[list[str], list[int], list[int]], list[int], list[int]]:
+    """Episodes as (states, starts, ends) columns, then pivots and pivot packets, ascending.
 
-    A position is ordered when the buffer is empty both before and after the
-    arrival; runs of equal state merge into one episode.  A pivot is an
-    arrival that advances the upload point, which includes every in-order
-    packet and every packet that flushes a buffered run.
+    One receiver pass; ``segment_episodes`` wraps the result.
     """
-    ids = tuple(ids)
     sizes, uploads = receiver_pass(ids)
     n = len(sizes)
     # busy[i] is 1 when the buffer is non-empty after arrival i + 1; a
     # position is ordered when neither it nor the one before is busy
     busy = bytes(map(bool, sizes))
-    episodes: list[Episode] = []
+    states: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
     start = 0
     while start < n:
         if busy[start] or (start and busy[start - 1]):
             # unordered until the first pair of empty-buffer positions
             end = busy.find(b"\0\0", start)
             end = n if end < 0 else end + 1
-            episodes.append(Episode(UNORDERED, start + 1, end))
+            states.append(UNORDERED)
         else:
             end = busy.find(b"\1", start)
             end = n if end < 0 else end
-            episodes.append(Episode(ORDERED, start + 1, end))
+            states.append(ORDERED)
+        starts.append(start + 1)
+        ends.append(end)
         start = end
     advanced = list(map(ne, uploads, chain((0,), uploads)))
-    return EpisodeSegmentation(
-        episodes=tuple(episodes),
-        pivots=frozenset(compress(count(1), advanced)),
-        pivot_packets=frozenset(compress(ids, advanced)),
-    )
+    return (states, starts, ends), list(compress(count(1), advanced)), list(compress(ids, advanced))
+
+
+def _segmentation(
+    columns: tuple[list[str], list[int], list[int]], pivots: list[int], packets: list[int]
+) -> EpisodeSegmentation:
+    """An ``EpisodeSegmentation`` from ``_episode_pass``' result."""
+    return EpisodeSegmentation(tuple(map(Episode, *columns)), frozenset(pivots), frozenset(packets))
+
+
+def segment_episodes(ids: Iterable[int]) -> EpisodeSegmentation:
+    """Split a trace into ordered/unordered episodes and find its pivots.
+
+    A position is ordered when the buffer is empty both before and after the
+    arrival; runs of equal state merge into one episode.  A pivot is an
+    arrival that advances the upload point, which includes every in-order
+    packet and every packet that flushes a buffered run.  That packet is the
+    ID just above the upload point, which never falls back, so pivot packets
+    rise in arrival order, as pivot positions do.
+    """
+    return _segmentation(*_episode_pass(tuple(ids)))

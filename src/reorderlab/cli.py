@@ -46,7 +46,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
-from .buffering import _equivalences, ack_sequence, buffer_sizes, segment_episodes
+from .buffering import _episode_pass, _equivalences, _segmentation, ack_sequence, buffer_sizes
 from .disorder import sus_partition
 from .errors import CapacityExceededError, InvalidParameterError, ReorderError
 from .reconstruct import reconstruct
@@ -209,24 +209,29 @@ def cmd_sus(args: argparse.Namespace) -> Report:
 
 def cmd_episodes(args: argparse.Namespace) -> Report:
     ids = resolve_trace(args.trace)
-    seg = segment_episodes(ids)
-    pos, is_pivot = range(1, len(ids) + 1), seg.pivots.__contains__
-    return Report(
-        lambda: [
-            _block("episode %s %d %d\n", *zip(*seg.episodes)),
-            _words("pivots", sorted(seg.pivots)),
-            _words("pivot-packets", sorted(seg.pivot_packets)),
-        ],
-        lambda: {
-            "episodes": [ep._asdict() for ep in seg.episodes],
-            "pivots": sorted(seg.pivots),
-            "pivot_packets": sorted(seg.pivot_packets),
-        },
+    columns, pivots, packets = _episode_pass(ids)  # the pivot lists already ascend
+
+    def csv() -> list[str]:
+        seg = _segmentation(columns, pivots, packets)
+        pos, is_pivot = range(1, len(ids) + 1), seg.pivots.__contains__
         # one state_at call per position; %d prints the pivot flags (bools) as 1/0
-        lambda: [
+        return [
             "position,id,state,pivot\n",
             _block("%d,%d,%s,%d\n", pos, ids, map(seg.state_at, pos), map(is_pivot, pos)),
+        ]
+
+    return Report(
+        lambda: [
+            _block("episode %s %d %d\n", *columns),
+            _words("pivots", pivots),
+            _words("pivot-packets", packets),
         ],
+        lambda: {
+            "episodes": [{"state": s, "start": a, "end": b} for s, a, b in zip(*columns)],
+            "pivots": pivots,
+            "pivot_packets": packets,
+        },
+        csv,
     )
 
 

@@ -30,7 +30,13 @@ from reorderlab import (
     sus,
     sus_partition,
 )
-from reorderlab.buffering import _equivalences, check_buffer_values, receiver_pass
+from reorderlab.buffering import (
+    _episode_pass,
+    _equivalences,
+    _segmentation,
+    check_buffer_values,
+    receiver_pass,
+)
 from reorderlab.cli import EXIT_INPUT, main
 
 from _oracles import (
@@ -706,6 +712,43 @@ class TestEpisodes:
                 expected.add(pos)
             prev = a
         assert seg.pivots == frozenset(expected)
+
+
+class TestEpisodePass:
+    """``_episode_pass``' columns and ascending pivot lists, which ``segment_episodes`` wraps."""
+
+    @given(idseq_strategy)
+    @settings(max_examples=300, deadline=None)
+    @example(())
+    @example((1, 2, 3))
+    @example((3, 2, 1))
+    @example((2, 1))  # ends on an unordered idle step
+    @example((2, 1, 3, 4))
+    def test_matches_oracle(self, ids):
+        columns, pivots, packets = _episode_pass(ids)
+        assert list(zip(*columns)) == oracle_episodes(ids)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        assert all(a < b for a, b in zip(packets, packets[1:]))
+        assert len(pivots) == len(packets)
+        acks = (1, *oracle_ack(ids))
+        assert pivots == [pos for pos in range(1, len(ids) + 1) if acks[pos] > acks[pos - 1]]
+        assert packets == [ids[pos - 1] for pos in pivots]
+        seg = _segmentation(columns, pivots, packets)
+        assert seg == segment_episodes(ids)
+        assert all(type(ep) is Episode for ep in seg.episodes)
+        assert type(seg.pivots) is type(seg.pivot_packets) is frozenset
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_cli_makes_one_pass(self, monkeypatch, fmt):
+        # each ID fed once; only csv, which looks positions up, builds a segmentation
+        chunks, built = _feed_spy(monkeypatch), []
+        monkeypatch.setattr(
+            "reorderlab.cli._segmentation", lambda *result: built.append(1) or _segmentation(*result)
+        )
+        with redirect_stdout(io.StringIO()):
+            assert main(["episodes", "--format", fmt, *map(str, TRACE_14)]) == 0
+        assert list(chunks.values()) == [[len(TRACE_14)]]
+        assert len(built) == (fmt == "csv")
 
 
 class TestReceiverState:

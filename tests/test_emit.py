@@ -117,6 +117,10 @@ class TestTraceCommands:
     @settings(max_examples=300, deadline=None)
     @example("episodes", ())
     @example("episodes", (2**64 + 1, 3, 2**63 + 2, 1, 2))
+    @example("episodes", (2, 1))
+    @example("episodes", (1, 3, 2))
+    @example("episodes", (3, 2, 1))
+    @example("episodes", (2, 1, 3, 4))
     @example("sus", (2**64 + 1, 3, 2**63 + 2))
     def test_matches_old_renderer(self, command, ids):
         check([*command.split(), words(ids)], lambda: VIEWS[command](ids))
