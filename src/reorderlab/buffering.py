@@ -26,15 +26,12 @@ ORDERED = "O"
 UNORDERED = "U"
 
 
-def _not_positive(pos: int, v: object) -> InvalidSequenceError:
-    return InvalidSequenceError(
-        f"packet ID at position {pos} must be a positive integer, got {v!r}",
-        position=pos,
-    )
-
-
-def _duplicate(pos: int, v: int) -> InvalidSequenceError:
-    return InvalidSequenceError(f"duplicate packet ID {v} at position {pos}", position=pos)
+def _rejected(pos: int, v: object) -> InvalidSequenceError:
+    if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+        message = f"packet ID at position {pos} must be a positive integer, got {v!r}"
+    else:
+        message = f"duplicate packet ID {v} at position {pos}"
+    return InvalidSequenceError(message, position=pos)
 
 
 def check_ids(ids: Iterable[int]) -> tuple[int, ...]:
@@ -128,6 +125,11 @@ class ReceiverState:
         highest ID seen is in ``pending`` whenever it lies above the upload
         point.  Then the ID ``highest_seen + 1``, which can be neither a
         repeat nor below 1, takes one branch that moves both counters to it.
+
+        A bad ID is refused for its type, or else by the one branch for IDs
+        at or below the upload point or pending.  No repeat reaches the branch
+        before it, which advances the upload point to ``uploadable + 1``:
+        that ID is never pending, or the upload point would be past it.
         """
         highest, uploadable, pending = self.highest_seen, self.uploadable, self.pending
         sizes: list[int] = []
@@ -137,27 +139,25 @@ class ReceiverState:
             for v in ids:
                 # on a bad ID, self.arrivals + len(sizes) + 1 is its 1-based position
                 if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-                    raise _not_positive(self.arrivals + len(sizes) + 1, v)
+                    raise _rejected(self.arrivals + len(sizes) + 1, v)
                 if highest == uploadable and v == highest + 1:
                     # nothing buffered and the next ID: the common case of an almost sorted trace
                     highest = uploadable = v
                     add_size(0)
                     add_upload(v)
                     continue
-                if v <= uploadable:
-                    pos = self.arrivals + len(sizes) + 1
-                    raise _not_positive(pos, v) if v <= 0 else _duplicate(pos, v)
                 if v == uploadable + 1:
+                    # something is buffered, or the branch above took v, so highest > v
                     uploadable = v
                     while uploadable + 1 in pending:
                         uploadable += 1
                         pending.remove(uploadable)
-                elif v in pending:
-                    raise _duplicate(self.arrivals + len(sizes) + 1, v)
+                elif v <= uploadable or v in pending:
+                    raise _rejected(self.arrivals + len(sizes) + 1, v)
                 else:
                     pending.add(v)
-                if v > highest:
-                    highest = v
+                    if v > highest:
+                        highest = v
                 add_size(highest - uploadable)
                 add_upload(uploadable)
         finally:
@@ -185,21 +185,23 @@ def _equivalences(a: Sequence[int], b: Sequence[int]) -> tuple[bool, bool]:
     """Whether two traces have equal buffer series and equal ACK series.
 
     Two receivers are fed the same slices of the traces, each twice as long
-    as the last, and stop once both answers are False; the rest of each trace
-    is then only validated.  Errors are those of ``receiver_pass(a)``
-    followed by ``receiver_pass(b)``.  The traces are sliced, not copied.
+    as the last, and stop once the ACK series differ, when both answers are
+    False; the rest of each trace is then only validated.  Errors are those
+    of ``receiver_pass(a)`` followed by ``receiver_pass(b)``.  The traces are
+    sliced, not copied.
     """
     n = len(a)
     fb = behavioral = n == len(b)
     state_a, state_b = ReceiverState(), ReceiverState()
     start = 0
     with suppress(InvalidSequenceError):  # raised again below, after any earlier error in a
-        while start < n and (fb or behavioral):
+        # equal buffer series give equal ACK series (ack_from_buffer): fb implies behavioral
+        while start < n and behavioral:
             end = 2 * start + 1
             sizes_a, uploads_a = state_a.feed(a[start:end])
             sizes_b, uploads_b = state_b.feed(b[start:end])
             fb = fb and sizes_a == sizes_b
-            behavioral = behavioral and uploads_a == uploads_b
+            behavioral = uploads_a == uploads_b
             start = end
     if start < max(n, len(b)):  # the receivers stopped before the end of a trace
         check_ids(a)
@@ -282,23 +284,20 @@ def _episode_pass(
     """
     sizes, uploads = receiver_pass(ids)
     n = len(sizes)
-    # busy[i] is 1 when the buffer is non-empty after arrival i + 1; a
-    # position is ordered when neither it nor the one before is busy
-    busy = bytes(map(bool, sizes))
+    # busy's bytes are 1 where the buffer is non-empty after an arrival; ORed
+    # with itself shifted one byte, unordered[i] is 1 when it is non-empty
+    # before or after arrival i + 1, and an episode is a run of equal flags
+    busy = int.from_bytes(bytes(map(bool, sizes)), "big")
+    unordered = (busy | busy >> 8).to_bytes(n, "big")
     states: list[str] = []
     starts: list[int] = []
     ends: list[int] = []
     start = 0
     while start < n:
-        if busy[start] or (start and busy[start - 1]):
-            # unordered until the first pair of empty-buffer positions
-            end = busy.find(b"\0\0", start)
-            end = n if end < 0 else end + 1
-            states.append(UNORDERED)
-        else:
-            end = busy.find(b"\1", start)
-            end = n if end < 0 else end
-            states.append(ORDERED)
+        flag = unordered[start]
+        end = unordered.find(flag ^ 1, start)  # the run's end: the first other flag
+        end = n if end < 0 else end
+        states.append(UNORDERED if flag else ORDERED)
         starts.append(start + 1)
         ends.append(end)
         start = end

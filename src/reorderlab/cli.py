@@ -65,7 +65,7 @@ def parse_trace(text: str, source: str) -> list[int]:
     """Parse trace text into integers, reporting offending line numbers."""
     if "#" in text:
         # cut each line at its comment; rejoining with "\n" keeps line numbers
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        text = "\n".join(line.partition("#")[0] for line in text.splitlines())
     try:
         return list(map(int, text.split()))
     except ValueError:

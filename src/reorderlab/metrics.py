@@ -49,7 +49,7 @@ class RcvWindowSeries(NamedTuple):
 def _check_dt(dt: int | float) -> None:
     if isinstance(dt, int) and not isinstance(dt, bool) and dt > 0:
         return
-    if isinstance(dt, float) and math.isinf(dt) and dt > 0:
+    if isinstance(dt, float) and dt == math.inf:
         return
     raise InvalidParameterError(f"dt must be a positive integer or math.inf, got {dt!r}")
 
@@ -75,14 +75,11 @@ def rcv_window_series(ids: Iterable[int], rcv_buffer: int) -> RcvWindowSeries:
             f"rcv_buffer must be a positive integer, got {rcv_buffer!r}"
         )
     occupancy = buffer_sizes(ids)
-    # C-speed capacity check; the loop runs only to name the first position over it
+    # C-speed capacity check; the scan runs only to name the first position over it
     if max(occupancy, default=0) > rcv_buffer:
-        for pos, m in enumerate(occupancy, start=1):
-            if m > rcv_buffer:
-                raise CapacityExceededError(
-                    f"buffer occupancy {m} exceeds capacity {rcv_buffer} at position {pos}",
-                    position=pos,
-                )
+        pos, m = next((pos, m) for pos, m in enumerate(occupancy, start=1) if m > rcv_buffer)
+        message = f"buffer occupancy {m} exceeds capacity {rcv_buffer} at position {pos}"
+        raise CapacityExceededError(message, position=pos)
     return RcvWindowSeries(
         rcv_buffer=rcv_buffer, values=tuple(map(sub, repeat(rcv_buffer), occupancy))
     )

@@ -65,6 +65,34 @@ class _IntId(int):
     """An int subclass: accepted as a packet ID like a plain int."""
 
 
+# one trace, cut into chunks, for each way feed refuses an ID: 0 and -1,
+# True, 2.0 when 2 is next, a repeat of a pending ID, repeats at and below
+# the upload point, and repeats where the first or second arrival is an
+# int subclass
+REFUSED_SPLITS = [
+    ((3, 1, 0), [(3,), (1, 0)]),
+    ((3, 1, -1), [(3, 1), (-1,)]),
+    ((3, True), [(3,), (True,)]),
+    ((1, 3, 2.0), [(1, 3), (2.0,)]),
+    ((4, 2, 4), [(4,), (2, 4)]),
+    ((2, 1, 4, 2), [(2, 1), (4, 2)]),
+    ((2, 1, 4, 1), [(2,), (1, 4, 1)]),
+    ((1, 3, _IntId(3)), [(1,), (3, _IntId(3))]),
+    ((_IntId(1), 3, 1), [(_IntId(1), 3), (1,)]),
+]
+
+
+def refused_examples(whole=False):
+    """``REFUSED_SPLITS`` as hypothesis examples: each (trace, chunks), or each trace."""
+
+    def add(test):
+        for ids, chunks in REFUSED_SPLITS:
+            test = example(ids if whole else (ids, chunks))(test)
+        return test
+
+    return add
+
+
 @st.composite
 def rough_traces(draw):
     """Traces that may break the ID rules: repeats, non-positive IDs, wrong types."""
@@ -178,6 +206,7 @@ def _kernel_series(ids):
 class TestReceiverPass:
     @given(rough_traces())
     @settings(max_examples=400, deadline=None)
+    @refused_examples(whole=True)
     def test_matches_receiver_state(self, ids):
         expected = _outcome(_receiver_state_series, ids)
         assert _outcome(_kernel_series, ids) == expected
@@ -738,6 +767,11 @@ class TestEpisodePass:
         assert all(type(ep) is Episode for ep in seg.episodes)
         assert type(seg.pivots) is type(seg.pivot_packets) is frozenset
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_oracle_on_every_permutation(self, n):
+        for perm in permutations(range(1, n + 1)):
+            assert list(zip(*_episode_pass(perm)[0])) == oracle_episodes(perm)
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_cli_makes_one_pass(self, monkeypatch, fmt):
         # each ID fed once; only csv, which looks positions up, builds a segmentation
@@ -771,6 +805,7 @@ class TestReceiverState:
 
     @given(rough_traces())
     @settings(max_examples=400, deadline=None)
+    @refused_examples(whole=True)
     def test_matches_oracle_after_every_arrival(self, ids):
         state, oracle = ReceiverState(), OracleReceiverState()
         for v in ids:
@@ -782,6 +817,7 @@ class TestReceiverState:
 
     @given(split_traces())
     @settings(max_examples=400, deadline=None)
+    @refused_examples()
     def test_chunked_feed_matches_one_pass(self, split):
         ids, chunks = split
         state = ReceiverState()
@@ -804,6 +840,7 @@ class TestReceiverState:
     @given(almost_sorted_splits())
     @settings(max_examples=400, deadline=None)
     @example(([1, 2, 4, 3, 5, 6, 3], [[1, 2], [4], [3], [5, 6, 3]]))
+    @refused_examples()
     def test_almost_sorted_matches_oracle(self, split):
         ids, chunks = split
         assert _outcome(receiver_pass, ids) == _outcome(_observe, OracleReceiverState(), ids)

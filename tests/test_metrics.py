@@ -137,6 +137,7 @@ class TestMatchesCountingLoop:
 
 class TestRcvWindow:
     def test_reverse(self):
+        # the peak occupancy equals the capacity, which is no overflow
         series = rcv_window_series((4, 3, 2, 1), 4)
         assert series.values == (0, 0, 0, 4)
         assert series.rcv_buffer == 4
@@ -148,6 +149,15 @@ class TestRcvWindow:
         with pytest.raises(CapacityExceededError) as exc:
             rcv_window_series((4, 3, 2, 1), 3)
         assert exc.value.position == 1
+
+    def test_overflow_after_a_full_buffer(self):
+        # occupancy 2, 5, 5, 5, 0: at capacity first, over it from position 2
+        with pytest.raises(CapacityExceededError) as exc:
+            rcv_window_series((2, 5, 1, 3, 4), 2)
+        assert (str(exc.value), exc.value.position) == (
+            "buffer occupancy 5 exceeds capacity 2 at position 2",
+            2,
+        )
 
     def test_full_window_iff_empty_buffer(self):
         ids = (1, 2, 3, 6, 5, 7, 4, 8, 9, 10, 12, 13, 14, 11)

@@ -1,8 +1,8 @@
 """Exhaustive small-length enumeration and verification engine."""
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 from operator import getitem
 from random import Random
 
@@ -173,6 +173,66 @@ class TestCompleteness:
         low = [sum(1 for p in members if sus(p) <= 3) for members in report.classes.values()]
         # every buffer class holds exactly one SUS<=3 member
         assert low == [1] * A005802[n - 1]
+
+
+def a005802(n):
+    """Gessel's closed form for A005802(n), the count of SUS<=3 permutations of 1..n."""
+    total = sum(comb(2 * k, k) * comb(n + 1, k + 1) * comb(n + 2, k + 1) for k in range(n + 1))
+    return total // ((n + 1) ** 2 * (n + 2))
+
+
+@cache
+def _series_completions(left, masks):
+    """Distinct buffer series that finish a prefix, in the prefix's state.
+
+    A series prefix fixes the upload point (``ack_from_buffer`` reads it
+    off) and the highest ID, the upload point plus the last value.  What is
+    open is which IDs between them have arrived: ``masks`` holds every
+    received set the prefix allows, bit k standing for ID upload point + 1 + k,
+    and ``left`` counts the IDs above the upload point.
+    """
+    if not left:
+        return 1
+    after = {}  # next buffer value -> IDs left above the upload point, received masks
+    for mask in masks:
+        for k in range(left):
+            if not mask >> k & 1:
+                grown = mask | 1 << k
+                moved = (grown & ~(grown + 1)).bit_length()  # IDs uploaded, from bit 0 up
+                grown >>= moved
+                lefts, grown_masks = after.setdefault(grown.bit_length(), (set(), set()))
+                lefts.add(left - moved)
+                grown_masks.add(grown)
+    total = 0
+    for lefts, grown_masks in after.values():
+        (rest,) = lefts  # one series value fixes the new upload point
+        total += _series_completions(rest, frozenset(grown_masks))
+    return total
+
+
+def buffer_class_count(n):
+    """How many distinct buffer series S_n has, by a walk over series prefixes.
+
+    It shares no code with the sweep, the receiver or reconstruction.  By the
+    theorem each class holds at most one SUS<=3 member, so a count of
+    A005802(n) says every class holds exactly one.
+    """
+    return _series_completions(n, frozenset({0}))
+
+
+class TestBufferClassWalk:
+    """Every buffer class of S_n holds a SUS<=3 member: A005802(n) classes."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_enumeration(self, n):
+        assert buffer_class_count(n) == enumerate_classes(n).class_count
+
+    @pytest.mark.parametrize("n", range(0, 12))
+    def test_matches_closed_form(self, n):
+        assert buffer_class_count(n) == a005802(n)
+
+    def test_closed_form_matches_table(self):
+        assert tuple(map(a005802, range(1, 10))) == A005802
 
 
 class TestSweepOrder:
