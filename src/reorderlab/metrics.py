@@ -87,10 +87,10 @@ def rcv_window_series(ids: Iterable[int], rcv_buffer: int) -> RcvWindowSeries:
 
 def mean_buffer_size(ids: Iterable[int]) -> Fraction:
     """Average buffer occupancy, exact; a function of the buffer series only."""
-    from fractions import Fraction
+    import fractions  # a from-import would probe the module's missing __path__ per call
 
     values = buffer_sizes(ids)
-    return Fraction(sum(values), len(values) or 1)
+    return fractions.Fraction(sum(values), len(values) or 1)
 
 
 def consistency_counterexample(
@@ -104,15 +104,26 @@ def consistency_counterexample(
     Metric values must compare by exact (transitive) equality: the search
     keeps each buffer class's first member and its value, and compares every
     later member with that value alone.
+
+    A class with one member holds no pair, so the metric runs only on members
+    of classes with two or more permutations, once each: on a class's first
+    member when its second arrives.  It never runs at n <= 3, where every
+    class is a singleton, and runs 3,203 times at n = 7 (of 5,040
+    permutations), 31,456 at n = 8 and 318,806 at n = 9.
     """
     from .oracle import MAX_ENUMERATION_N, _check_n, _sweep  # not loaded by rd and rcvwindow
 
     _check_n(n, MAX_ENUMERATION_N)
-    first: dict[tuple[int, ...], tuple[tuple[int, ...], object]] = {}
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    values: dict[tuple[int, ...], object] = {}
     for perm, key, _ in _sweep(n):
-        value = metric(perm)
-        earlier, earlier_value = first.setdefault(key, (perm, value))
-        # never compare the first member's value with itself: nan != nan
-        if earlier is not perm and earlier_value != value:
+        earlier = first.setdefault(key, perm)
+        # a first member is measured only when a second one arrives, and is
+        # never compared with itself: nan != nan
+        if earlier is perm:
+            continue
+        if key not in values:
+            values[key] = metric(earlier)
+        if values[key] != metric(perm):
             return earlier, perm
     return None

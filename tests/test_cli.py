@@ -632,7 +632,8 @@ for name, argv in [
     ("csv", ["map", "--format", "csv", "1"]),
     ("rcvwindow", ["rcvwindow", "--rcv-buffer", "2", "1"]),
     ("rd", ["rd", "--dt", "inf", "1"]),
-    ("mean-buffer", ["consistency", "--metric", "mean-buffer", "--n", "3"]),
+    ("mean-buffer-3", ["consistency", "--metric", "mean-buffer", "--n", "3"]),
+    ("mean-buffer-4", ["consistency", "--metric", "mean-buffer", "--n", "4"]),
 ]:
     sys.stdout = io.StringIO()
     code = main(argv)
@@ -675,7 +676,9 @@ class TestImportHygiene:
             "csv": {"json", *self.MAP},
             "rcvwindow": metrics,
             "rd": metrics,
-            "mean-buffer": {"fractions", "decimal", "reorderlab.oracle", *metrics},
+            # every class of S_3 is a singleton, so the metric never runs
+            "mean-buffer-3": {"reorderlab.oracle", *metrics},
+            "mean-buffer-4": {"fractions", "decimal", "reorderlab.oracle", *metrics},
         }
 
     def test_library_import_loads_no_cli(self):

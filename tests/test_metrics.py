@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations
@@ -24,7 +25,12 @@ from reorderlab import (
     reorder_density,
 )
 
-from _oracles import oracle_consistency_counterexample, oracle_rcv_window, oracle_rd_counts
+from _oracles import (
+    oracle_classes,
+    oracle_consistency_counterexample,
+    oracle_rcv_window,
+    oracle_rd_counts,
+)
 
 
 class TestReorderDensity:
@@ -308,9 +314,20 @@ class TestConsistencyMatchesKernelLoop:
             assert consistency_counterexample(metric, n) == expected
 
     def test_one_comparison_per_permutation_at_most(self):
-        # each permutation meets its class's first member only; meeting every
-        # earlier member of its class would take 16,587 comparisons at n = 7
+        # each permutation meets its class's first member only, so S_7's
+        # 2,761 classes leave 7! - 2,761 comparisons; meeting every earlier
+        # member of its class would take 16,587
         tally = [0]
         metric = lambda p: _Counted(mean_buffer_size(p), tally)  # noqa: E731
         assert consistency_counterexample(metric, 7) is None
-        assert 0 < tally[0] <= math.factorial(7)
+        assert tally[0] == math.factorial(7) - 2_761 == 2_279
+
+    def test_metric_runs_once_on_each_member_of_a_shared_class(self):
+        # a singleton class holds no pair, so its member is never measured
+        for n in range(1, 8):
+            calls = Counter()
+            metric = lambda p: calls.update([p])  # noqa: E731
+            assert consistency_counterexample(metric, n) is None
+            classes = oracle_classes(n).values()
+            assert calls == Counter(m for members in classes if len(members) >= 2 for m in members)
+            assert calls.total() == {1: 0, 2: 0, 3: 0, 4: 2, 5: 30, 6: 324, 7: 3_203}[n]
