@@ -23,11 +23,6 @@ MAX_ENUMERATION_N = 9
 MAX_IDENTITY_N = 7
 
 
-def _check_n(n: int, limit: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= limit:
-        raise InvalidParameterError(f"n must be an integer in 1..{limit}, got {n!r}")
-
-
 def _received_sets(n: int) -> list[int]:
     """Buffer size after the IDs in ``mask``: the highest less the length of the run 1, 2, 3, ..."""
     return [m.bit_length() - (m ^ (m + 1)).bit_length() + 1 for m in range(1 << n)]
@@ -47,15 +42,21 @@ def _patience_nodes(n: int) -> list[list]:
     return nodes
 
 
-def _sweep(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+def _sweep(
+    n: int, limit: int = MAX_ENUMERATION_N
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Every permutation of 1..n in lexicographic order, with its buffer series and SUS.
 
     Each is a head of n // 2 IDs, in ``permutations(ids, n // 2)``'s order, then each of
     its tails in order.  A tail's series steps depend only on its head's set, so the tails
     and their steps are built once per set.  The SUS is ``node[0]`` at the
     ``_patience_nodes`` node the IDs lead to from the root, so the tails' SUS are counted
-    once per node the head reaches and set of head IDs.
+    once per node the head reaches and set of head IDs.  The first step raises
+    ``InvalidParameterError`` unless n is an integer in 1..limit, before either table
+    (2^n entries) is built: this is the one length cap of the engines.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= limit:
+        raise InvalidParameterError(f"n must be an integer in 1..{limit}, got {n!r}")
     lookup, flag = _received_sets(n).__getitem__, [0, *(1 << v for v in range(n))].__getitem__
 
     def series(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -102,7 +103,6 @@ class IdentityViolation(NamedTuple):
 
 def enumerate_classes(n: int) -> EquivalenceClassReport:
     """Group S_n by buffer series, with summary statistics."""
-    _check_n(n, MAX_ENUMERATION_N)
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     low: list[tuple[int, ...]] = []  # the class of each SUS<=3 member
     for perm, key, u in _sweep(n):
@@ -128,7 +128,6 @@ def verify_theorem(n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     colliding pair found in lexicographic order (which would indicate an
     implementation bug, not a counterexample to the underlying claim).
     """
-    _check_n(n, MAX_ENUMERATION_N)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for perm, key, u in _sweep(n):
         # the patience table filters, and sus cross-checks its SUS<=3 members:
@@ -153,8 +152,7 @@ def verify_identities(n: int) -> IdentityViolation | None:
     The round trip runs reconstruction's unverified builder, ``_candidate``,
     whose result equals the permutation exactly when ``reconstruct(m)`` does.
     """
-    _check_n(n, MAX_IDENTITY_N)
-    for perm, _, u in _sweep(n):
+    for perm, _, u in _sweep(n, MAX_IDENTITY_N):
         m, uploads = receiver_pass(perm)
         if list(accumulate(perm, max)) != list(map(add, uploads, m)):
             return IdentityViolation(perm, "highest-vs-ack")

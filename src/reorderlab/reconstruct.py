@@ -64,7 +64,8 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
 
     The candidate stands when it is a permutation of 1..n whose buffer series
     is the input; it then rebuilds from its own series, so its SUS is at most
-    MAX_SUS, as the README proves.  Otherwise ``permutation`` is None.
+    MAX_SUS, as the README proves.  Otherwise ``permutation`` is None, and no
+    permutation has the series: the candidate from a permutation's series stands.
     """
     w = check_buffer_values(values)
     acks = ack_from_buffer(w)
@@ -83,5 +84,5 @@ def reconstruct_trace(values: Iterable[int]) -> ReconstructionTrace:
 
 
 def reconstruct(values: Iterable[int]) -> tuple[int, ...] | None:
-    """The unique SUS<=3 permutation whose buffer series is ``values``, or None."""
+    """The unique SUS<=3 permutation with series ``values``, or None: no permutation has it."""
     return reconstruct_trace(values).permutation

@@ -254,7 +254,7 @@ class TestConsistency:
         witness = consistency_counterexample(partial(reorder_density, dt=math.inf), 4)
         assert witness == ((4, 2, 3, 1), (4, 3, 2, 1))
 
-    @pytest.mark.parametrize("n", [0, 10])
+    @pytest.mark.parametrize("n", [0, -1, 10, True, 2.0])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             consistency_counterexample(mean_buffer_size, n)

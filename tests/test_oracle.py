@@ -1,6 +1,6 @@
 """Exhaustive small-length enumeration and verification engine."""
 
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import combinations, permutations
 from math import comb, factorial
 from operator import getitem
@@ -12,6 +12,7 @@ from reorderlab import (
     IdentityViolation,
     InvalidParameterError,
     buffer_sizes,
+    consistency_counterexample,
     enumerate_classes,
     lds_bruteforce,
     reconstruct,
@@ -149,7 +150,7 @@ class TestEnumerateClasses:
         assert report.multi_member_count == sum(1 for s in sizes if s >= 2)
         assert report.multi_member_count == MULTI_MEMBER[n - 1]
 
-    @pytest.mark.parametrize("n", [0, -1, 10])
+    @pytest.mark.parametrize("n", [0, -1, 10, True, 2.0])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             enumerate_classes(n)
@@ -235,6 +236,48 @@ class TestBufferClassWalk:
         assert tuple(map(a005802, range(1, 10))) == A005802
 
 
+@cache
+def _flat_ascent_completions(left, mask, last):
+    """Ways to finish a prefix so that every later flat step's ID is above ``last``.
+
+    The state is shifted down by the upload point: ``left`` counts the IDs above
+    it, bit k of ``mask`` says whether ID upload point + 1 + k has arrived, and
+    ``last`` is the last flat step's ID, or 0 once that ID is uploaded.  The
+    highest ID is the mask's top bit, so the buffer size is the mask's bit length.
+    """
+    if not left:
+        return 1
+    total = 0
+    for k in range(left):
+        if mask >> k & 1:
+            continue
+        grown = mask | 1 << k
+        moved = (grown & ~(grown + 1)).bit_length()  # IDs uploaded, from bit 0 up
+        grown >>= moved
+        if grown.bit_length() != mask.bit_length():
+            total += _flat_ascent_completions(left - moved, grown, max(0, last - moved))
+        elif k >= last:  # a flat step, whose ID k + 1 must be above the last flat ID
+            total += _flat_ascent_completions(left - moved, grown, max(0, k + 1 - moved))
+    return total
+
+
+def flat_ascent_count(n):
+    """How many permutations of 1..n have their flat-step IDs in increasing order.
+
+    It shares no code with the library.  By the README's proof these are the
+    SUS<=3 permutations, A005802(n) of them, one per buffer class.
+    """
+    return _flat_ascent_completions(n, 0, 0)
+
+
+class TestFlatAscentWalk:
+    """The permutations whose flat IDs ascend are A005802(n) in number."""
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_matches_closed_form(self, n):
+        assert flat_ascent_count(n) == a005802(n)
+
+
 class TestSweepOrder:
     """The sweep yields all of S_n, each permutation once, in lexicographic order."""
 
@@ -282,7 +325,7 @@ class TestVerifyTheorem:
         assert len(results) == A005802[n - 1]
         assert max(results) <= 3
 
-    @pytest.mark.parametrize("n", [0, 10])
+    @pytest.mark.parametrize("n", [0, -1, 10, True, 2.0])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             verify_theorem(n)
@@ -305,10 +348,56 @@ class TestVerifyIdentities:
         assert visited == list(permutations(range(1, n + 1)))
         assert sus_calls == []
 
-    @pytest.mark.parametrize("n", [0, 8])
+    @pytest.mark.parametrize("n", [0, -1, 8, 10, True, 2.0])
     def test_guard(self, n):
         with pytest.raises(InvalidParameterError):
             verify_identities(n)
+
+
+# each engine's length cap; the sweep is the one place that checks it
+CAPS = {
+    "enumerate_classes": 9,
+    "verify_theorem": 9,
+    "verify_identities": 7,
+    "consistency_counterexample": 9,
+}
+
+
+class TestLengthCap:
+    """A rejected n raises the cap's message before the sweep builds a table."""
+
+    @pytest.mark.parametrize(
+        "engine, n",
+        [(engine, n) for engine in CAPS for n in (0, -1, 10, True, 2.0)]
+        + [("verify_identities", 8)],
+    )
+    def test_rejected_before_any_table(self, monkeypatch, engine, n):
+        built, measured = [], []
+        monkeypatch.setattr("reorderlab.oracle._received_sets", built.append)
+        monkeypatch.setattr("reorderlab.oracle._patience_nodes", built.append)
+        run = {
+            "enumerate_classes": enumerate_classes,
+            "verify_theorem": verify_theorem,
+            "verify_identities": verify_identities,
+            "consistency_counterexample": partial(consistency_counterexample, measured.append),
+        }[engine]
+        with pytest.raises(InvalidParameterError) as exc:
+            run(n)
+        assert str(exc.value) == f"n must be an integer in 1..{CAPS[engine]}, got {n!r}"
+        assert built == measured == []
+
+    def test_accepted_builds_both_tables(self, monkeypatch):
+        # the spies above would see each table the sweep builds
+        built = []
+        for table in (_received_sets, _patience_nodes):
+
+            def spy(n, table=table):
+                built.append(n)
+                return table(n)
+
+            monkeypatch.setattr(f"reorderlab.oracle.{table.__name__}", spy)
+        assert verify_theorem(3) is None
+        assert built == [3, 3]
 
 
 class TestIdentitiesMatchPermutationsLoop:
@@ -330,9 +419,9 @@ def _sizes_off_by_one(perm):
     return [m + 1 for m in sizes], uploads
 
 
-def _sus_one(n):
+def _sus_one(n, *limit):
     """The sweep with every SUS reported as 1."""
-    return ((perm, series, 1) for perm, series, _ in _sweep(n))
+    return ((perm, series, 1) for perm, series, _ in _sweep(n, *limit))
 
 
 class TestWitnessBranches:

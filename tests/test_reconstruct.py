@@ -1,6 +1,7 @@
 """Rebuilding low-disorder permutations from their buffer-size series."""
 
 import random
+from bisect import bisect_left
 from itertools import combinations, permutations, product
 
 import pytest
@@ -11,6 +12,7 @@ from reorderlab import (
     InvalidSequenceError,
     ack_sequence,
     buffer_sizes,
+    enumerate_classes,
     reconstruct,
     reconstruct_trace,
     sus,
@@ -60,6 +62,43 @@ def _flat_sorted(p):
     for t, packet in zip(flat, sorted(p[t] for t in flat)):
         out[t] = packet
     return tuple(out)
+
+
+def _flat_descents(p):
+    """Pairs i < j of p's flat steps whose IDs arrive in decreasing order."""
+    return [(i, j) for i, j in combinations(_flat_steps(p), 2) if p[i] > p[j]]
+
+
+def _swapped(p, i, j):
+    """p with the IDs at positions i and j exchanged."""
+    out = list(p)
+    out[i], out[j] = p[j], p[i]
+    return tuple(out)
+
+
+def _flat_disorder(p):
+    """d: the longest decreasing subsequence of p's flat-step IDs, in arrival order."""
+    tails = []  # tails[k]: the highest last ID of a decreasing run of k + 1, negated
+    for packet in (p[t] for t in _flat_steps(p)):
+        k = bisect_left(tails, -packet)
+        tails[k : k + 1] = [-packet]
+    return len(tails)
+
+
+def _assert_low_member(p):
+    """Sorting p's flat IDs keeps its series and gives a SUS<=3 member, R(M(p))."""
+    m = buffer_sizes(p)
+    low = _flat_sorted(p)
+    assert buffer_sizes(low) == m
+    assert sus(low) <= 3
+    assert reconstruct(m) == low
+
+
+def _assert_sus_formula(p):
+    """SUS(p) <= 3 exactly when d <= 1, and otherwise SUS(p) = d + 2."""
+    u, d = sus(p), _flat_disorder(p)
+    assert (u <= 3) == (d <= 1)
+    assert d <= 1 or u == d + 2
 
 
 def _flat_descent_4321(p):
@@ -279,3 +318,56 @@ class TestProof:
             for a, b, c, d in combinations(range(n), 4):
                 if p[a] > p[b] > p[c] > p[d]:
                     assert b in flat and c in flat
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_swap_lemma(self, n):
+        # exchanging the IDs of any flat descent keeps the series, so both
+        # steps stay flat
+        swaps = 0
+        for p in permutations(range(1, n + 1)):
+            m = buffer_sizes(p)
+            for i, j in _flat_descents(p):
+                assert buffer_sizes(_swapped(p, i, j)) == m
+                swaps += 1
+        assert (swaps > 0) == (n >= 4)  # a flat descent gives a 4321
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LONG_PERMUTATIONS, st.data())
+    def test_swap_lemma_long(self, p, data):
+        pairs = _flat_descents(p)
+        for i, j in data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else ():
+            assert buffer_sizes(_swapped(p, i, j)) == buffer_sizes(p)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_existence(self, n):
+        # the lemma's exchanges sort the flat IDs, which leaves no flat descent,
+        # so by step 3 no 4321: every buffer class holds a SUS<=3 member
+        for p in permutations(range(1, n + 1)):
+            _assert_low_member(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LONG_PERMUTATIONS)
+    def test_existence_long(self, p):
+        _assert_low_member(p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_class_shape(self, n):
+        # members of a class share the series, so the ID of every step that
+        # is not flat; R(M(p)), with the flat IDs sorted, comes first
+        for members in enumerate_classes(n).classes.values():
+            first = members[0]
+            assert _rebuild(first) == first
+            flat = set(_flat_steps(first))
+            moving = [t for t in range(n) if t not in flat]
+            for p in members[1:]:
+                assert [p[t] for t in moving] == [first[t] for t in moving]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_sus_from_flat_steps(self, n):
+        for p in permutations(range(1, n + 1)):
+            _assert_sus_formula(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LONG_PERMUTATIONS)
+    def test_sus_from_flat_steps_long(self, p):
+        _assert_sus_formula(p)

@@ -4,12 +4,13 @@
     python tools/mutants.py src/reorderlab/reconstruct.py --tests tests/test_reconstruct.py tests/test_oracle.py
 
 Each mutant changes one site of the module's syntax tree: it flips one
-comparison (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``) or adds 1
-to one integer constant.  It is written into a temporary copy of ``src`` and
-``tests``, where the module's test files (``tests/test_<module>.py`` unless
-``--tests`` names others) run with ``pytest -x``.  A mutant whose tests still
-pass survived: the tests miss what that site does, or the change makes no
-difference.  The working tree is only read.
+comparison (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and
+``is not``, ``in`` and ``not in``) or adds 1 to one integer constant.  It is
+written into a temporary copy of ``src`` and ``tests``, where the module's
+test files (``tests/test_<module>.py`` unless ``--tests`` names others) run
+with ``pytest -x``.  A mutant whose tests still pass survived: the tests miss
+what that site does, or the change makes no difference.  The working tree is
+only read.
 
 ``tools/known_survivors.txt`` lists the survivors already judged equivalent,
 one per line: the module's file name, the mutated line's source text without
@@ -44,6 +45,10 @@ FLIPS = {
     ast.GtE: (ast.Gt, ">=", ">"),
     ast.Eq: (ast.NotEq, "==", "!="),
     ast.NotEq: (ast.Eq, "!=", "=="),
+    ast.Is: (ast.IsNot, "is", "is not"),
+    ast.IsNot: (ast.Is, "is not", "is"),
+    ast.In: (ast.NotIn, "in", "not in"),
+    ast.NotIn: (ast.In, "not in", "in"),
 }
 
 
