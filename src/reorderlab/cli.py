@@ -8,7 +8,11 @@ are always inline, even when a file of that name exists.
 
 ``COMMANDS`` declares each subcommand once: its handler, its help and its
 arguments; the handlers that need ``metrics`` or ``oracle`` import them when
-they run, so other commands never load them.  ``main`` alone maps errors to
+they run, so other commands never load them.  ``_plain`` reads a plain argv
+from the table: a command, its long options in full, required ones included,
+each with a value not starting with ``-`` that passes its type and choices,
+and one run of positionals filling its slots.  Other argvs load argparse,
+whose help, usage and errors stay as they were.  ``main`` alone maps errors to
 exit codes.  ``run``, the process entry point, switches the cyclic garbage
 collector off (``main`` leaves it be) and ends the process with ``os._exit``
 once ``main`` returns or argparse exits (usage errors, ``-h``), skipping
@@ -35,7 +39,6 @@ error if standard output is closed, and a failure of that write is its own.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import math
@@ -44,12 +47,17 @@ import sys
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .buffering import _episode_pass, _equivalences, _segmentation, ack_sequence, buffer_sizes
 from .disorder import sus_partition
 from .errors import CapacityExceededError, InvalidParameterError, ReorderError
 from .reconstruct import reconstruct
+
+if TYPE_CHECKING:
+    import argparse
+    from typing import TextIO
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -333,6 +341,7 @@ def _dt_value(text: str) -> int | float:
             return dt
     except ValueError:
         pass
+    import argparse
     raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {text!r}")
 
 
@@ -403,20 +412,51 @@ def _warn(text: str) -> None:
         pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Writes usage errors as ``main`` writes its own, and flushes ``-h``'s help."""
-
-    def error(self, message: str) -> NoReturn:
-        _warn(f"{self.format_usage()}{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_INPUT)
-
-    def print_help(self, file: TextIO | None = None) -> None:
-        super().print_help(file)  # to standard error if standard output is closed
-        if sys.stdout is not None:
-            sys.stdout.flush()
+def _plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser`` gives a plain ``argv``, else None (see above)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, arguments = COMMANDS[argv[0]]
+    declared = dict([_FORMAT, *arguments])
+    found, run = {name: spec.get("default") for name, spec in declared.items()}, []
+    for i, token in (tokens := iter(enumerate(argv[1:]))):
+        if token[:1] != "-" or token == "-":
+            run.append(i)
+            continue
+        spec, value = declared.get(token), next(tokens, (i, "-"))[1]
+        if spec is None or value[:1] == "-":
+            return None
+        try:
+            found[token] = value = spec.get("type", str)(value)
+        except Exception:  # argparse calls the type again and reports how it failed
+            return None
+        if value not in spec.get("choices", [value]):
+            return None
+    names = [name for name in declared if name[:1] != "-"]
+    values = [argv[1 + i] for i in run]
+    if names and declared[names[-1]].get("nargs") == "+" and len(values) >= len(names):
+        values[len(names) - 1 :] = [values[len(names) - 1 :]]  # the last slot takes the rest
+    missing = any(found[name] is None for name, spec in declared.items() if spec.get("required"))
+    if missing or len(values) != len(names) or run and run[-1] - run[0] != len(run) - 1:
+        return None  # a required option or a slot is missing, or an option splits the run
+    found.update(zip(names, values), command=argv[0], func=handler)
+    return SimpleNamespace(**{name.lstrip("-").replace("-", "_"): v for name, v in found.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+    class _Parser(argparse.ArgumentParser):
+        """Writes usage errors as ``main`` writes its own, and flushes ``-h``'s help."""
+
+        def error(self, message: str) -> NoReturn:
+            _warn(f"{self.format_usage()}{self.prog}: error: {message}\n")
+            raise SystemExit(EXIT_INPUT)
+
+        def print_help(self, file: TextIO | None = None) -> None:
+            super().print_help(file)  # to standard error if standard output is closed
+            if sys.stdout is not None:
+                sys.stdout.flush()
+
     parser = _Parser(
         prog="reorderlab",
         description="Analyze packet-ID traces through receiver buffer dynamics.",
@@ -432,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         report = args.func(args)
         render(report, args.format)
         return report.code

@@ -27,6 +27,7 @@ from reorderlab.cli import (
     EXIT_OK,
     EXIT_PIPE,
     TraceParseError,
+    _plain,
     build_parser,
     main,
     parse_trace,
@@ -650,7 +651,7 @@ def bare_python(*args):
 class TestImportHygiene:
     """A run loads only the package modules and standard-library modules its command uses."""
 
-    HEAVY = {"dataclasses", "inspect", "json", "csv", "fractions", "decimal"}
+    HEAVY = {"dataclasses", "inspect", "json", "csv", "fractions", "decimal", "argparse", "gettext"}
     # what ``map 1`` loads: the package and the modules it imports eagerly
     MAP = {
         "reorderlab",
@@ -680,6 +681,16 @@ class TestImportHygiene:
             "mean-buffer-3": {"reorderlab.oracle", *metrics},
             "mean-buffer-4": {"fractions", "decimal", "reorderlab.oracle", *metrics},
         }
+
+    @pytest.mark.parametrize(
+        "argv, parser", [(["map", "1"], False), (["map", "-h"], True), (["map"], True)]
+    )
+    def test_process_loads_argparse_only_off_the_table_path(self, argv, parser):
+        """``-X importtime`` names every module the process imports, to standard error."""
+        proc = bare_python("-X", "importtime", "-m", "reorderlab", *argv)
+        loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+        expected = {"argparse", "gettext"} if parser else set()
+        assert loaded & {"argparse", "gettext"} == expected
 
     def test_library_import_loads_no_cli(self):
         probe = "import sys; from reorderlab import enumerate_classes; print(*sorted(sys.modules))"
@@ -1388,3 +1399,105 @@ class TestParserMatchesOracle:
         parsed = _parsed(build_parser, argv)
         assert isinstance(parsed, tuple)
         assert parsed == _parsed(oracle_build_parser, argv)
+
+
+def _main_exit(argv):
+    """What ``main`` prints and exits with on an ``argv`` whose parsing exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_exits_as_the_oracle_parser(argv):
+    assert _main_exit(argv) == _parsed(oracle_build_parser, argv)
+
+
+# (argv, whether the table reader reads it): each form of a plain argv, and
+# each form it leaves to argparse, whether argparse then accepts it or exits
+READER_CASES = [
+    (["map", "4", "3", "2", "1"], True),
+    (["map", "-"], True),
+    (["map", ""], True),
+    (["map", "--format", "csv", "--format", "json", "1"], True),
+    (["verify", "--n", "3", "--n", "1_0"], True),
+    (["rcvwindow", "1", "2", "--rcv-buffer", "+2"], True),
+    (["rd", "--dt", "inf", "1"], True),
+    (["equiv", "-", "1 2"], True),
+    (["consistency", "--metric", "rd", "--n", "3"], True),
+    (["reconstruct", "-", "--format", "json"], True),
+    ([], False),
+    (["bogus", "1"], False),
+    (["--format", "json", "map", "1"], False),
+    (["map"], False),
+    (["map", "-h"], False),
+    (["map", "--help", "1"], False),
+    (["map", "--form", "csv", "1"], False),
+    (["map", "--format=csv", "1"], False),
+    (["map", "--", "1"], False),
+    (["map", "-1"], False),
+    (["map", "1", "--format"], False),
+    (["map", "--format", "-", "1"], False),
+    (["map", "--format", "xml", "--format", "csv", "1"], False),
+    (["map", "1", "--format", "csv", "2"], False),
+    (["equiv", "1", "--format", "csv", "2"], False),  # argparse reads it
+    (["equiv", "1"], False),
+    (["equiv", "1", "2", "3"], False),
+    (["verify"], False),
+    (["verify", "1", "--n", "3"], False),
+    (["verify", "--n", "-1"], False),  # argparse reads it
+    (["verify", "--n", "-1_0"], False),
+    (["verify", "--n", "x"], False),
+    (["rd", "1"], False),
+    (["rd", "--dt", "0", "1"], False),
+    (["consistency", "--metric", "max", "--n", "3"], False),
+    (["consistency", "--n", "3"], False),
+]
+
+# tokens the fuzzed argvs are drawn from: every option name, the forms the
+# reader leaves to argparse, and values that pass or fail a type or choice
+FUZZ_TOKENS = sorted(
+    {flag for _, _, arguments in COMMANDS.values() for flag, _ in arguments if flag[:1] == "-"}
+) + [
+    "--format", "--form", "--d", "--rcv", "--n=3", "--metric=rd", "--", "-h", "--help",
+    "-", "-1", "-5", "-1_0", "", " 1", "1_0", "+2", "inf", "0", "1", "3", "x",
+    "text", "json", "csv", "xml", "rd", "mean-buffer", "max", "4 3 2 1", "trace.txt",
+]  # fmt: skip
+
+
+class TestPlainReader:
+    """``_plain`` gives argparse's namespace or declines, and declines whenever argparse exits."""
+
+    PARSER = build_parser()
+
+    def check(self, argv):
+        """Whether ``_plain`` read ``argv``, after comparing its namespace with argparse's."""
+        plain, parsed = _plain(argv), _parsed(lambda: self.PARSER, argv)
+        assert plain is None or vars(plain) == parsed
+        return plain is not None
+
+    @pytest.mark.parametrize("argv, plain", READER_CASES, ids=lambda v: repr(v)[:60])
+    def test_cases(self, argv, plain):
+        assert self.check(argv) == plain
+
+    @given(
+        st.sampled_from([*COMMANDS, "bogus", "Map", "-h", "--format"]),
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=7),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_fuzzed_argvs(self, command, tokens):
+        self.check([command, *tokens])
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_valid_argvs_take_the_table_path(self, argv):
+        assert self.check(argv)
+
+    def test_benchmark_argvs_take_the_table_path(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            for command in workloads.build(name, 1, tmp_path).commands:
+                # the classes operation is a library call, not a command line
+                assert command.key == "classes" or self.check(command.argv), command.argv

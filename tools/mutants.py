@@ -5,12 +5,13 @@
 
 Each mutant changes one site of the module's syntax tree: it flips one
 comparison (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and
-``is not``, ``in`` and ``not in``) or adds 1 to one integer constant.  It is
-written into a temporary copy of ``src`` and ``tests``, where the module's
-test files (``tests/test_<module>.py`` unless ``--tests`` names others) run
-with ``pytest -x``.  A mutant whose tests still pass survived: the tests miss
-what that site does, or the change makes no difference.  The working tree is
-only read.
+``is not``, ``in`` and ``not in``), flips one boolean operator (``and`` and
+``or``; ``a and b and c`` is one operator), or adds 1 to one integer constant.
+It is written into a temporary copy of ``src``, ``tests`` and ``perfbench``,
+where the module's test files (``tests/test_<module>.py`` unless ``--tests``
+names others) run with ``pytest -x``.  A mutant whose tests still pass
+survived: the tests miss what that site does, or the change makes no
+difference.  The working tree is only read.
 
 ``tools/known_survivors.txt`` lists the survivors already judged equivalent,
 one per line: the module's file name, the mutated line's source text without
@@ -50,10 +51,15 @@ FLIPS = {
     ast.In: (ast.NotIn, "in", "not in"),
     ast.NotIn: (ast.In, "not in", "in"),
 }
+BOOL_FLIPS = {ast.And: (ast.Or, "and", "or"), ast.Or: (ast.And, "or", "and")}
 
 
 def _sites(tree: ast.AST, lines: list[str]) -> list[tuple[int, int, ast.expr, int | None]]:
-    """(line, column, node, operator index or None for an int constant), in source order."""
+    """(line, column, node, operator index or None), in source order.
+
+    The index is None for an int constant and for a boolean operator, whose
+    column is that of its first ``and`` or ``or``.
+    """
     found: list[tuple[int, int, ast.expr, int | None]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -64,6 +70,15 @@ def _sites(tree: ast.AST, lines: list[str]) -> list[tuple[int, int, ast.expr, in
                     symbol = FLIPS[type(op)][1]
                     column = lines[left.end_lineno - 1].find(symbol, left.end_col_offset)
                     found.append((left.end_lineno, column + 1, node, i))
+        elif isinstance(node, ast.BoolOp):
+            # the first operator's column: after the first operand, or before the second
+            symbol, left, right = BOOL_FLIPS[type(node.op)][1], node.values[0], node.values[1]
+            line = left.end_lineno
+            column = lines[line - 1].find(symbol, left.end_col_offset)
+            if column < 0:
+                line = right.lineno
+                column = lines[line - 1].rfind(symbol, 0, right.col_offset)
+            found.append((line, column + 1, node, None))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((node.lineno, node.col_offset + 1, node, None))
     return sorted(found, key=lambda site: site[:2])
@@ -85,7 +100,11 @@ def mutants(source: str):
     for k in range(len(_sites(ast.parse(source), lines))):
         tree = ast.parse(source)
         line, column, node, i = _sites(tree, lines)[k]
-        if i is None:
+        if isinstance(node, ast.BoolOp):
+            flipped, old, new = BOOL_FLIPS[type(node.op)]
+            change = f"{old} -> {new}"
+            node.op = flipped()
+        elif i is None:
             change = f"{node.value} -> {node.value + 1}"
             node.value += 1
         else:
@@ -168,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     known, status = known_survivors(), 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "perfbench"):  # tests/test_cli.py reads perfbench's argvs
             shutil.copytree(ROOT / tree, copy / tree, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         for module, tests in jobs:
